@@ -68,12 +68,10 @@ class Context:
         self._algebras: Dict[tuple, StructureAlgebra] = {}
         self._analyses: Dict[tuple, object] = {}
 
-    def algebra(self, r: int, n: int, variant: str = "bmw",
-                params: Optional[ParameterSet] = None) -> StructureAlgebra:
-        key = (r, n, variant, id(params) if params is not None else None)
+    def algebra(self, r: int, n: int, variant: str = "bmw") -> StructureAlgebra:
+        key = (r, n, variant)
         if key not in self._algebras:
-            p = params if params is not None else generic_parameters(r)
-            self._algebras[key] = build_algebra(n, p, variant=variant)
+            self._algebras[key] = build_algebra(n, generic_parameters(r), variant=variant)
         return self._algebras[key]
 
     def analysis(self, r: int, n: int):

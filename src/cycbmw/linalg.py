@@ -254,9 +254,7 @@ def matmul(A: List[list], B: List[list], field: Field) -> List[list]:
         p = field.p
         a = np.asarray(A, dtype=np.int64) % p
         b = np.asarray(B, dtype=np.int64) % p
-        # split the product to avoid int64 overflow on long inner dims
-        out = a @ b % p if a.shape[1] * (p - 1) ** 2 < 2**62 else _chunk_matmul(a, b, p)
-        return [[int(x) for x in row] for row in out]
+        return [[int(x) for x in row] for row in _chunk_matmul(a, b, p)]
     f = field
     n, k = len(A), len(B[0]) if B else 0
     out = [[f.zero()] * k for _ in range(n)]
@@ -271,7 +269,10 @@ def matmul(A: List[list], B: List[list], field: Field) -> List[list]:
     return out
 
 
-def _chunk_matmul(a, b, p, chunk=256):
+def _chunk_matmul(a, b, p):
+    """a @ b mod p in int64, split along the inner dimension so that no
+    partial sum overflows: acc + chunk*(p-1)^2 < p + chunk*(p-1)^2 < 2^63."""
+    chunk = max(1, (2**63 - p) // (p - 1) ** 2)
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, a.shape[1], chunk):
         acc = (acc + a[:, s:s + chunk] @ b[s:s + chunk, :]) % p

@@ -242,6 +242,15 @@ class StructureAlgebra:
     words) or from an explicit multiplication table (quotients, corners,
     blocks).  Products are memoized; for dim <= 512 the full table is
     materialized at construction.
+
+    A word-born algebra never reduces a concatenation b_i b_j.  Its basis
+    is prefix-closed (every factor of an irreducible word is irreducible),
+    so b_j = b_parent(j) g for the last letter g of b_j, and
+    b_i b_j = (b_i b_parent(j)) g.  The memoized table is the prefix tree
+    of that recursion, and only the right generator actions NF(b_k g),
+    dim x #gens of them, are reduced, each once.  Normal forms in a
+    confluent system are unique, so the table equals the normal forms of
+    the concatenations entry for entry.
     """
 
     MATERIALIZE_LIMIT = 512
@@ -273,10 +282,26 @@ class StructureAlgebra:
     def from_rewriting(cls, field: Field, rules: RewriteSystem, words: List[bytes],
                        n: int, params: ParameterSet, variant: str, meta: dict):
         index = {w: i for i, w in enumerate(words)}
+        # memo of the right generator actions NF(words[k] g), keyed (k, g)
+        actions: Dict[Tuple[int, int], tuple] = {}
+        mul, add = field.mul, field.add
 
         def provider(i: int, j: int):
-            red = rules.reduce_word(words[i] + words[j])
-            return tuple(sorted((index[w], c) for w, c in red.items()))
+            # the basis is prefix-closed, so b_j = b_parent(j) g
+            w = words[j]
+            if not w:
+                return ((i, field.one()),)
+            g = w[-1]
+            acc: Dict[int, object] = {}
+            for k, c in alg.product(i, index[w[:-1]]):
+                t = actions.get((k, g))
+                if t is None:
+                    red = rules.reduce_word(words[k] + w[-1:])
+                    t = actions[(k, g)] = tuple(sorted((index[v], d) for v, d in red.items()))
+                for m, d in t:
+                    v = mul(c, d)
+                    acc[m] = add(acc[m], v) if m in acc else v
+            return tuple((m, acc[m]) for m in sorted(acc) if acc[m])
 
         alg = cls(field, len(words), {0: field.one()},
                   [word_str(w, n) for w in words], provider, meta=meta)

@@ -23,6 +23,8 @@ from collections import deque
 from .fields import Field
 
 EMPTY = b""
+# byte complement: reverses the lex order of equal-length words
+_COMPLEMENT = bytes(range(255, -1, -1))
 
 
 def deglex_key(w: bytes):
@@ -67,44 +69,42 @@ class RewriteSystem:
                     return pos, lhs
         return None
 
-    def is_irreducible(self, w: bytes) -> bool:
-        return self.find_redex(w) is None
-
     def reduce(self, elem: dict) -> dict:
         """Full normal form of a sparse element.
 
-        Terminates because each step replaces a word by strictly smaller
-        ones; like-term cancellation happens in the work dict.
+        Words are rewritten largest first (deglex), so every term a word
+        will ever receive has been accumulated, and like terms have
+        cancelled, before that word is reduced or written to the result.
+        A rewrite step yields only strictly smaller words, so a popped word
+        never returns: each word is reduced once or emitted once.
         """
         field = self.field
+        rules = self.rules
         out: dict[bytes, object] = {}
         work = dict(elem)
-        while work:
-            w, c = work.popitem()
+        # min-heap on (-degree, complemented bytes) pops the deglex-largest
+        heap = [(-len(w), w.translate(_COMPLEMENT), w) for w in work]
+        heapq.heapify(heap)
+        while heap:
+            w = heapq.heappop(heap)[2]
+            c = work.pop(w)
             if not c:
                 continue
             m = self.find_redex(w)
             if m is None:
-                nc = field.add(out.get(w, 0), c) if w in out else c
-                if nc:
-                    out[w] = nc
-                elif w in out:
-                    del out[w]
+                out[w] = c
                 continue
             pos, lhs = m
             pre = w[:pos]
             post = w[pos + len(lhs):]
-            for rw, rc in self.rules[lhs].items():
+            for rw, rc in rules[lhs].items():
                 nw = pre + rw + post
                 nc = field.mul(c, rc)
                 if nw in work:
-                    nc = field.add(work[nw], nc)
-                    if nc:
-                        work[nw] = nc
-                    else:
-                        del work[nw]
+                    work[nw] = field.add(work[nw], nc)
                 else:
                     work[nw] = nc
+                    heapq.heappush(heap, (-len(nw), nw.translate(_COMPLEMENT), nw))
         return out
 
     def reduce_word(self, w: bytes) -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from cycbmw.fields import GF, QQ
 from cycbmw.params import ParameterSet, omega
-from cycbmw.presentation import (BuildError, E, G, X, build_algebra,
+from cycbmw.presentation import (BuildError, E, G, X, StructureAlgebra, build_algebra,
                                  canonical_relations, check_omega_relations,
                                  corner_algebra, default_degree_cap, dump_algebra,
                                  dumps_algebra, ideal_generated_by, load_algebra,
@@ -246,6 +246,40 @@ def test_dump_canonical_and_loadable(algebras):
     for i in range(A.dim):
         for j in range(A.dim):
             assert L.product(i, j) == A.product(i, j)
+
+
+def _concatenation_product(A, i, j):
+    red = A.rules.reduce_word(A.words[i] + A.words[j])
+    return tuple(sorted((A.word_index[w], c) for w, c in red.items()))
+
+
+TABLE_CASES = {
+    "gf101_b22": lambda: build_algebra(2, generic(2)),
+    "gf101_ak_b14": lambda: build_algebra(4, generic(1), variant="ariki_koike"),
+    "q_b13": lambda: build_algebra(3, ParameterSet(QQ, 2, "1/3", [3], admissible=True)),
+}
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["materialized", "lazy"])
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_generator_action_table_is_concatenation_nf(case, lazy, monkeypatch):
+    if lazy:
+        monkeypatch.setattr(StructureAlgebra, "MATERIALIZE_LIMIT", 0)
+    A = TABLE_CASES[case]()
+    assert not A._table if lazy else len(A._table) == A.dim ** 2
+    # descending, so the lazy path recurses into prefixes it has not seen
+    for i in reversed(range(A.dim)):
+        for j in reversed(range(A.dim)):
+            assert A.product(i, j) == _concatenation_product(A, i, j), (i, j)
+
+
+def test_frontier_b33_products():
+    A = build_algebra(3, generic(3))
+    assert A.dim == 405
+    rng = random.Random(33)
+    for _ in range(200):
+        i, j = rng.randrange(A.dim), rng.randrange(A.dim)
+        assert A.product(i, j) == _concatenation_product(A, i, j), (i, j)
 
 
 def test_load_rejects_corruption():

@@ -49,31 +49,44 @@ def test_sl2_like_collapse():
     assert all(set(w) in (set(), {0}, {1}) for w in words)
 
 
+def _s3_equations():
+    # overlap-heavy system: symmetric group S_3 as a Coxeter presentation
+    one = QQ.one()
+    s, t = b"\x00", b"\x01"
+    return [{s + s: one, b"": -one},
+            {t + t: one, b"": -one},
+            {s + t + s: one, t + s + t: -one}]
+
+
 def test_normal_form_idempotent_and_linear():
     F = GF(101)
-    one = F.one()
     x = b"\x00"
-    eqs = [{x + x: one, x: F.neg(F.of_int(3)), b"": F.of_int(2)}]  # x^2 = 3x - 2
-    rs, _ = complete(eqs, F, degree_cap=6)
-    rng = random.Random(2)
-    for _ in range(200):
-        w1 = x * rng.randrange(0, 6)
-        w2 = x * rng.randrange(0, 6)
-        c1, c2 = F.of_int(rng.randrange(1, 101)), F.of_int(rng.randrange(1, 101))
-        el = {}
-        for w, c in ((w1, c1), (w2, c2)):
-            el[w] = F.add(el.get(w, 0), c)
-        nf = rs.reduce(el)
-        assert rs.reduce(nf) == nf
-        parts = rs.reduce({w1: c1}), rs.reduce({w2: c2})
-        merged = dict(parts[0])
-        for w, c in parts[1].items():
-            s = F.add(merged.get(w, 0), c)
-            if s:
-                merged[w] = s
-            elif w in merged:
-                del merged[w]
-        assert merged == nf
+    poly = [{x + x: F.one(), x: F.neg(F.of_int(3)), b"": F.of_int(2)}]  # x^2 = 3x - 2
+    systems = ((complete(poly, F, degree_cap=6)[0], 1),
+               (complete(_s3_equations(), QQ, degree_cap=8)[0], 2))
+    for rs, letters in systems:
+        F = rs.field
+        rng = random.Random(2)
+        for _ in range(200):
+            w1, w2 = (bytes(rng.randrange(letters) for _ in range(rng.randrange(0, 6)))
+                      for _ in range(2))
+            c1 = F.of_int(rng.randrange(1, 101))
+            # c2 = -c1 makes terms cancel when w1 and w2 share normal-form words
+            c2 = F.neg(c1) if rng.random() < 0.25 else F.of_int(rng.randrange(1, 101))
+            el = {}
+            for w, c in ((w1, c1), (w2, c2)):
+                el[w] = F.add(el.get(w, 0), c)
+            nf = rs.reduce(el)
+            assert rs.reduce(nf) == nf
+            parts = rs.reduce({w1: c1}), rs.reduce({w2: c2})
+            merged = dict(parts[0])
+            for w, c in parts[1].items():
+                s = F.add(merged.get(w, 0), c)
+                if s:
+                    merged[w] = s
+                elif w in merged:
+                    del merged[w]
+            assert merged == nf
 
 
 def test_cap_exceeded_reports():
@@ -87,14 +100,7 @@ def test_cap_exceeded_reports():
 
 
 def test_completion_certificate_runs():
-    # overlap-heavy system: symmetric group S_3 as a Coxeter presentation
-    F = QQ
-    one = F.one()
-    s, t = b"\x00", b"\x01"
-    eqs = [{s + s: one, b"": -one},
-           {t + t: one, b"": -one},
-           {s + t + s: one, t + s + t: -one}]
-    rs, stats = complete(eqs, F, degree_cap=8)
+    rs, stats = complete(_s3_equations(), QQ, degree_cap=8)
     words = enumerate_irreducible_words(rs, 2, 8)
     assert len(words) == 6
     assert stats.verification_ambiguities > 0
