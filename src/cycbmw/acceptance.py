@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .fields import GF, FieldElement
-from .params import ParameterSet, check_admissible, gamma_weights
+from .fields import GF
+from .params import ParameterSet, alpha_candidates, check_admissible, gamma_weights
 from .presentation import (E, StructureAlgebra, build_algebra, check_omega_relations,
                            corner_algebra, gen_count, ideal_generated_by,
                            semi_admissibility_degree, truncation_idempotent)
@@ -137,7 +136,7 @@ def _crit_omega(ctx: Context) -> Tuple[bool, str]:
         prod = F(1)
         for x in u:
             prod = prod * x
-        alpha = rng.choice(alpha_candidates_for(q, r))
+        alpha = rng.choice(alpha_candidates(q, r))
         rho = (alpha * prod).inv()
         try:
             p = ParameterSet(F, q, rho, u, admissible=True)
@@ -153,10 +152,6 @@ def _crit_omega(ctx: Context) -> Tuple[bool, str]:
     ok = not failures and sampled >= 100
     return ok, (f"pole relations on all instances up to a=2r; {sampled} random "
                 f"admissible sets cross-checked" + ("" if ok else f"; FAIL {failures[:3]}"))
-
-
-def alpha_candidates_for(q: FieldElement, r: int):
-    return [F(1), F(-1)] if r % 2 else [q.inv(), -q]
 
 
 def _crit_truncation(ctx: Context) -> Tuple[bool, str]:
@@ -336,24 +331,17 @@ CRITERIA: List[Tuple[str, str, Callable]] = [
 ]
 
 
-def run_all(seed: int = DEFAULT_SEED, only: Optional[List[str]] = None,
-            jobs: int = 1) -> List[CriterionResult]:
+def run_all(seed: int = DEFAULT_SEED,
+            only: Optional[List[str]] = None) -> List[CriterionResult]:
     ctx = Context(seed=seed)
-    selected = [(cid, title, fn) for cid, title, fn in CRITERIA
-                if only is None or cid in only]
-
-    def run_one(item):
-        cid, title, fn = item
+    results = []
+    for cid, title, fn in CRITERIA:
+        if only is not None and cid not in only:
+            continue
         t0 = time.monotonic()
         try:
             passed, detail = fn(ctx)
         except Exception as exc:     # a crash is a failure, reported not raised
             passed, detail = False, f"exception: {type(exc).__name__}: {exc}"
-        return CriterionResult(cid, title, passed, detail, time.monotonic() - t0)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(item) for item in selected]
+        results.append(CriterionResult(cid, title, passed, detail, time.monotonic() - t0))
     return results

@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .fields import Field
-from .params import ParameterSet, parse_parameter_file
+from .params import ParameterSet, alpha_candidates, parse_parameter_file
 from .presentation import (build_algebra, dump_algebra, load_algebra,
                            semi_admissibility_degree)
 from .repn import DEFAULT_SEED, AnalysisError, radical, wedderburn
@@ -84,8 +84,7 @@ def _parameters_from_args(args) -> ParameterSet:
         prod = field(1)
         for x in uf:
             prod = prod * x
-        alphas = [field(1), field(-1)] if len(uf) % 2 else [q.inv(), -q]
-        rho_elem = (alphas[0] * prod).inv()
+        rho_elem = (alpha_candidates(q, len(uf))[0] * prod).inv()
         return ParameterSet(field, q, rho_elem, uf, admissible=True)
     return ParameterSet(field, args.q_val, rho, u, admissible=admissible,
                         omegas=omegas)
@@ -198,7 +197,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise CliError(f"unknown criteria: {sorted(unknown)}; "
                            f"known: {sorted(known)}")
-    results = run_all(seed=args.seed, only=only, jobs=args.jobs)
+    results = run_all(seed=args.seed, only=only)
     all_ok = all(r.passed for r in results)
     if args.format == "json":
         payload = [{"id": r.cid, "title": r.title, "passed": r.passed,
@@ -227,8 +226,6 @@ def make_parser() -> _Parser:
     b.add_argument("--variant", choices=("bmw", "ariki_koike"), default="bmw")
     b.add_argument("--degree-cap", type=int, default=None)
     b.add_argument("--out", help="write the canonical JSON dump here")
-    b.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    b.add_argument("--jobs", type=int, default=1)
     b.set_defaults(fn=cmd_build)
 
     c = sub.add_parser("classify", help="enumerate simple-module index sets")
@@ -242,8 +239,6 @@ def make_parser() -> _Parser:
     _add_param_flags(c)
     c.add_argument("--format", choices=("json", "csv"), default="json")
     c.add_argument("--out")
-    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    c.add_argument("--jobs", type=int, default=1)
     c.set_defaults(fn=cmd_classify)
 
     a = sub.add_parser("analyze", help="radical/Wedderburn report for a dump")
@@ -253,21 +248,17 @@ def make_parser() -> _Parser:
     a.add_argument("--format", choices=("json",), default="json")
     a.add_argument("--out")
     a.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    a.add_argument("--jobs", type=int, default=1)
     a.set_defaults(fn=cmd_analyze)
 
     s = sub.add_parser("semiadmissible",
                        help="print the semi-admissibility degree d")
     _add_param_flags(s)
     s.add_argument("--degree-cap", type=int, default=None)
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(fn=cmd_semiadmissible)
 
     v = sub.add_parser("verify", help="run the acceptance criteria")
     v.add_argument("--only", help="comma list of criterion ids")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)

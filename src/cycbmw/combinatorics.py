@@ -321,10 +321,6 @@ def segment_key(seg: Segment):
     return (-seg[1], seg[0])
 
 
-def canonical_multisegment(segs: Sequence[Segment]) -> Multisegment:
-    return tuple(sorted(segs, key=segment_key))
-
-
 def is_aperiodic(ms: Sequence[Segment], e: Optional[int]) -> bool:
     """For every occurring length j, some run [i..i+j-1] is absent from ms.
 

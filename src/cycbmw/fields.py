@@ -31,8 +31,9 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime-field"
 
 # GF(p) is restricted to word-sized primes; desk-scale computations use
-# primes like 101 or 1009, and (p-1)^2 must not overflow the int64 fast
-# paths in linalg.
+# primes like 101 or 1009.  linalg keeps matrices in int64 only while
+# (p-1)^2 + p < 2^63 and in object arrays of Python ints above that, so
+# every prime up to this bound is exact.
 MAX_PRIME = 2**63 - 1
 
 

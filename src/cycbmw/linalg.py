@@ -1,26 +1,73 @@
-"""Exact dense linear algebra over the two scalar backends.
+"""Exact dense linear algebra over GF(p) and Q on numpy arrays.
 
-Vectors are plain Python lists of raw field values.  Over GF(p) with
-p < 2^31 the hot paths (row reduction, matrix products) run vectorized on
-int64 numpy arrays with explicit mod-p reductions; over Q, or for huge p,
-the same algorithms run on Fraction/int lists.  Everything is exact and
-deterministic: pivots are always the first nonzero column, rows keep
-insertion order semantics.
+Every matrix is a numpy array whose dtype follows one rule, `dtype_for`:
+int64 when residues modulo m can be multiplied and one more residue added
+without overflow, object (Python int or Fraction) otherwise, including Q
+(m = 0).  Over GF(p) every result is reduced with `% p`; over Q nothing is
+reduced.  Products go through `matmul_mod`, which splits int64 products
+along the inner dimension so that no partial sum overflows.  Everything is
+exact and deterministic: pivots are always the first nonzero column, rows
+keep insertion order semantics.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
 
-from .fields import Field, PRIME_FIELD
-
-_NUMPY_PRIME_LIMIT = 2**31
+from .fields import Field
 
 
-def _use_numpy(field: Field) -> bool:
-    return field.kind == PRIME_FIELD and field.p < _NUMPY_PRIME_LIMIT
+def dtype_for(m: int):
+    """int64 when (m-1)^2 + m < 2^63, i.e. m <= 3,037,000,500; object for
+    larger moduli and for Q (m = 0)."""
+    return np.int64 if 0 < m and (m - 1) ** 2 + m < 2**63 else object
+
+
+def reduce_mod(a, m: int):
+    """a % m over Z/m; a itself over Q (m = 0)."""
+    return a % m if m else a
+
+
+def zeros(shape, m: int) -> np.ndarray:
+    """Zero array modulo m; over Q its entries are Fraction(0)."""
+    if dtype_for(m) is np.int64:
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, 0 if m else Fraction(0), dtype=object)
+
+
+def as_array(rows, m: int) -> np.ndarray:
+    """Rows (nested lists or arrays of raw values) as a reduced array mod m."""
+    return reduce_mod(np.array(rows, dtype=dtype_for(m)), m)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a @ b reduced mod m; a may be a vector.  In int64 the inner dimension
+    is split so that no partial sum overflows:
+    acc + chunk*(m-1)^2 <= m - 1 + (2^63 - m) < 2^63."""
+    if dtype_for(m) is object:
+        return reduce_mod(a @ b, m)
+    chunk = max(1, (2**63 - m) // (m - 1) ** 2)
+    acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for s in range(0, a.shape[-1], chunk):
+        acc = (acc + a[..., s:s + chunk] @ b[s:s + chunk]) % m
+    return acc
+
+
+def scatter_add(index, values, size: int, m: int) -> np.ndarray:
+    """Vector of length `size` holding the sum of `values` at each `index`,
+    reduced mod m.  Each value is a reduced residue below 2^32, so an int64
+    sum needs 2^31 terms to overflow, more than any index array here holds."""
+    out = zeros(size, m)
+    np.add.at(out, index, values)
+    return reduce_mod(out, m)
+
+
+def _scalar(x):
+    """A numpy scalar as the Python value the field kernels expect."""
+    return x.item() if isinstance(x, np.generic) else x
 
 
 class EchelonSpan:
@@ -29,67 +76,36 @@ class EchelonSpan:
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.ncols = ncols
-        self.rows: list = []     # RREF rows (numpy int64 or list of raw)
+        self.rows: List[np.ndarray] = []     # RREF rows, sorted by pivot
         self.pivots: list[int] = []
-        self._np = _use_numpy(field)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _as_vec(self, v):
-        if self._np:
-            return np.asarray(v, dtype=np.int64) % self.field.p
-        return list(v)
-
-    def reduce(self, v):
-        """Residual of v modulo the current span (same storage format)."""
-        v = self._as_vec(v)
-        if self._np:
-            p = self.field.p
-            for row, pc in zip(self.rows, self.pivots):
-                c = v[pc]
-                if c:
-                    v = (v - c * row) % p
-            return v
-        f = self.field
+    def reduce(self, v) -> np.ndarray:
+        """Residual of v modulo the current span, as a new array."""
+        m = self.field.p
+        v = as_array(v, m)
         for row, pc in zip(self.rows, self.pivots):
             c = v[pc]
             if c:
-                for j in range(self.ncols):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
+                v = reduce_mod(v - c * row, m)
         return v
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the dimension grew."""
         v = self.reduce(v)
-        if self._np:
-            nz = np.nonzero(v)[0]
-            if len(nz) == 0:
-                return False
-            p = self.field.p
-            pc = int(nz[0])
-            v = (v * pow(int(v[pc]), -1, p)) % p
-            for i, row in enumerate(self.rows):
-                c = row[pc]
-                if c:
-                    self.rows[i] = (row - c * v) % p
-        else:
-            f = self.field
-            pc = None
-            for j in range(self.ncols):
-                if v[j]:
-                    pc = j
-                    break
-            if pc is None:
-                return False
-            inv = f.inv(v[pc])
-            v = [f.mul(inv, x) for x in v]
-            for i, row in enumerate(self.rows):
-                c = row[pc]
-                if c:
-                    self.rows[i] = [f.sub(row[j], f.mul(c, v[j])) for j in range(self.ncols)]
+        nz = np.flatnonzero(v)
+        if len(nz) == 0:
+            return False
+        m = self.field.p
+        pc = int(nz[0])
+        v = reduce_mod(v * self.field.inv(_scalar(v[pc])), m)
+        for i, row in enumerate(self.rows):
+            c = row[pc]
+            if c:
+                self.rows[i] = reduce_mod(row - c * v, m)
         # keep rows sorted by pivot column for canonical output
         idx = 0
         while idx < len(self.pivots) and self.pivots[idx] < pc:
@@ -99,122 +115,46 @@ class EchelonSpan:
         return True
 
     def contains(self, v) -> bool:
-        r = self.reduce(v)
-        if self._np:
-            return not np.any(r)
-        return all(not x for x in r)
+        return not np.count_nonzero(self.reduce(v))
 
     def row_lists(self) -> List[list]:
-        if self._np:
-            return [[int(x) for x in row] for row in self.rows]
-        return [list(row) for row in self.rows]
+        return [row.tolist() for row in self.rows]
 
 
 class RowBasis:
-    """A fixed independent row list with exact coordinate solving."""
+    """A fixed independent row list with exact coordinate solving.
+
+    The echelon form of the augmented rows [rows | I] has all its pivots in
+    the first n columns, and reducing [v | 0] by it leaves [v - x.rows | -x]
+    for some x; the left part is zero exactly when v = x.rows."""
 
     def __init__(self, rows: List[list], field: Field):
         self.field = field
         self.rows = rows
-        self.n = len(rows[0]) if rows else 0
+        self.n = len(rows[0]) if len(rows) else 0
         self.k = len(rows)
-        self._np = _use_numpy(field)
-        # RREF of [rows | I] restricted to the first n columns
-        if self._np:
-            p = field.p
-            aug = np.hstack([
-                np.asarray(rows, dtype=np.int64) % p,
-                np.eye(self.k, dtype=np.int64),
-            ]) if self.k else np.zeros((0, self.n + 0), dtype=np.int64)
-            piv = []
-            r = 0
-            for col in range(self.n):
-                if r >= self.k:
-                    break
-                nz = None
-                for i in range(r, self.k):
-                    if aug[i, col]:
-                        nz = i
-                        break
-                if nz is None:
-                    continue
-                aug[[r, nz]] = aug[[nz, r]]
-                aug[r] = (aug[r] * pow(int(aug[r, col]), -1, p)) % p
-                for i in range(self.k):
-                    if i != r and aug[i, col]:
-                        aug[i] = (aug[i] - aug[i, col] * aug[r]) % p
-                piv.append(col)
-                r += 1
-            if r != self.k:
-                raise ValueError("RowBasis rows are linearly dependent")
-            self._aug = aug
-            self._pivots = piv
-        else:
-            f = field
-            aug = [list(row) + [f.one() if i == j else f.zero() for j in range(self.k)]
-                   for i, row in enumerate(rows)]
-            piv = []
-            r = 0
-            for col in range(self.n):
-                if r >= self.k:
-                    break
-                nz = None
-                for i in range(r, self.k):
-                    if aug[i][col]:
-                        nz = i
-                        break
-                if nz is None:
-                    continue
-                aug[r], aug[nz] = aug[nz], aug[r]
-                inv = f.inv(aug[r][col])
-                aug[r] = [f.mul(inv, x) for x in aug[r]]
-                for i in range(self.k):
-                    c = aug[i][col]
-                    if i != r and c:
-                        aug[i] = [f.sub(aug[i][j], f.mul(c, aug[r][j]))
-                                  for j in range(self.n + self.k)]
-                piv.append(col)
-                r += 1
-            if r != self.k:
-                raise ValueError("RowBasis rows are linearly dependent")
-            self._aug = aug
-            self._pivots = piv
+        m = field.p
+        self._span = EchelonSpan(field, self.n + self.k)
+        if self.k:
+            aug = np.hstack([as_array(rows, m), zeros((self.k, self.k), m)])
+            aug[np.arange(self.k), self.n + np.arange(self.k)] = field.one()
+            for row in aug:
+                self._span.insert(row)
+        if any(pc >= self.n for pc in self._span.pivots):
+            raise ValueError("RowBasis rows are linearly dependent")
 
     def coords(self, v) -> Optional[list]:
         """x with sum_i x_i * rows[i] = v, or None when v is outside the span."""
-        f = self.field
-        if self._np:
-            p = f.p
-            v = np.asarray(v, dtype=np.int64) % p
-            x = np.zeros(self.k, dtype=np.int64)
-            for r, pc in enumerate(self._pivots):
-                c = v[pc]
-                if c:
-                    v = (v - c * self._aug[r, :self.n]) % p
-                    x = (x + c * self._aug[r, self.n:]) % p
-            if np.any(v):
-                return None
-            return [int(t) for t in x]
-        v = list(v)
-        x = [f.zero()] * self.k
-        for r, pc in enumerate(self._pivots):
-            c = v[pc]
-            if c:
-                row = self._aug[r]
-                for j in range(self.n):
-                    if row[j]:
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-                for j in range(self.k):
-                    if row[self.n + j]:
-                        x[j] = f.add(x[j], f.mul(c, row[self.n + j]))
-        if any(v):
+        m = self.field.p
+        r = self._span.reduce(np.concatenate([as_array(v, m), zeros(self.k, m)]))
+        if np.count_nonzero(r[:self.n]):
             return None
-        return x
+        return reduce_mod(-r[self.n:], m).tolist()
 
 
-def rref(rows: List[list], field: Field):
+def rref(rows, field: Field):
     """(reduced nonzero rows, pivot columns); input is not modified."""
-    if not rows:
+    if not len(rows):
         return [], []
     span = EchelonSpan(field, len(rows[0]))
     for r in rows:
@@ -222,11 +162,11 @@ def rref(rows: List[list], field: Field):
     return span.row_lists(), list(span.pivots)
 
 
-def rank(rows: List[list], field: Field) -> int:
+def rank(rows, field: Field) -> int:
     return len(rref(rows, field)[0])
 
 
-def nullspace(rows: List[list], ncols: int, field: Field) -> List[list]:
+def nullspace(rows, ncols: int, field: Field) -> List[list]:
     """Canonical solution basis of the homogeneous system given by `rows`.
 
     Each row r is one equation sum_j r[j] x_j = 0; solutions x have length
@@ -234,56 +174,16 @@ def nullspace(rows: List[list], ncols: int, field: Field) -> List[list]:
     each free column contributes the vector with 1 there and the negated
     pivot-row entries at the pivot coordinates.
     """
+    m = field.p
     red, piv = rref(rows, field)
-    f = field
-    pivset = set(piv)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for fc in free:
-        v = [f.zero()] * ncols
-        v[fc] = f.one()
-        for row, pc in zip(red, piv):
-            if row[fc]:
-                v[pc] = f.neg(row[fc])
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(ncols), piv)
+    basis = zeros((len(free), ncols), m)
+    basis[np.arange(len(free)), free] = field.one()
+    if piv:
+        basis[:, piv] = reduce_mod(-as_array(red, m)[:, free].T, m)
+    return basis.tolist()
 
 
-def matmul(A: List[list], B: List[list], field: Field) -> List[list]:
-    if _use_numpy(field):
-        p = field.p
-        a = np.asarray(A, dtype=np.int64) % p
-        b = np.asarray(B, dtype=np.int64) % p
-        return [[int(x) for x in row] for row in _chunk_matmul(a, b, p)]
-    f = field
-    n, k = len(A), len(B[0]) if B else 0
-    out = [[f.zero()] * k for _ in range(n)]
-    for i, arow in enumerate(A):
-        orow = out[i]
-        for t, c in enumerate(arow):
-            if c:
-                brow = B[t]
-                for j in range(k):
-                    if brow[j]:
-                        orow[j] = f.add(orow[j], f.mul(c, brow[j]))
-    return out
-
-
-def _chunk_matmul(a, b, p):
-    """a @ b mod p in int64, split along the inner dimension so that no
-    partial sum overflows: acc + chunk*(p-1)^2 < p + chunk*(p-1)^2 < 2^63."""
-    chunk = max(1, (2**63 - p) // (p - 1) ** 2)
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], chunk):
-        acc = (acc + a[:, s:s + chunk] @ b[s:s + chunk, :]) % p
-    return acc
-
-
-def identity(n: int, field: Field) -> List[list]:
-    f = field
-    return [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
-
-
-def mat_vec(A: List[list], v: list, field: Field) -> list:
-    """Row vector times matrix: (v . A)."""
-    return matmul([v], A, field)[0]
+def matmul(A, B, field: Field) -> List[list]:
+    m = field.p
+    return matmul_mod(as_array(A, m), as_array(B, m), m).tolist()

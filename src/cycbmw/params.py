@@ -229,11 +229,13 @@ def omega(p: ParameterSet, a: int) -> FieldElement:
     return cache[a]
 
 
-def alpha_candidates(p: ParameterSet):
-    f = p.field
-    if p.r % 2:
-        return [f(1), f(-1)]
-    return [p.q.inv(), -p.q]
+def alpha_candidates(q, r: Optional[int] = None):
+    """The allowed witnesses alpha: {1, -1} for odd r, {q^{-1}, -q} for even
+    r.  Takes (q, r) or a parameter set."""
+    if r is None:
+        q, r = q.q, q.r
+    f = q.field
+    return [f(1), f(-1)] if r % 2 else [q.inv(), -q]
 
 
 def check_admissible(p: ParameterSet) -> AdmissibilityReport:

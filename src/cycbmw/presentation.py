@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import Field, FieldElement, PRIME_FIELD
-from .linalg import EchelonSpan, RowBasis
+from .fields import Field, FieldElement
+from .linalg import (EchelonSpan, RowBasis, as_array, matmul_mod, reduce_mod,
+                     scatter_add, zeros)
 from .params import ParameterSet, omega
 from .rewriting import (CompletionError, RewriteSystem, complete, deglex_key,
                         enumerate_irreducible_words)
@@ -251,10 +252,15 @@ class StructureAlgebra:
     dim x #gens of them, are reduced, each once.  Normal forms in a
     confluent system are unique, so the table equals the normal forms of
     the concatenations entry for entry.
+
+    Element arithmetic runs on the sparse structure constants, derived
+    from the full table on first use: index arrays (i, j, k) sorted by i
+    and the nonzero constants in the field's array dtype (`linalg.dtype_for`).
+    `mul`, `right_matrix` and `left_matrix` are each one gather-scatter
+    over the constants whose coefficients are nonzero, over every field.
     """
 
     MATERIALIZE_LIMIT = 512
-    TENSOR_LIMIT = 168          # dim^3 int64 stays under ~40 MB
 
     def __init__(self, field: Field, dim: int, unit_coords: Dict[int, object],
                  labels: List[str], mul_provider, gens: Optional[Dict[str, dict]] = None,
@@ -267,7 +273,7 @@ class StructureAlgebra:
         self._table: Dict[Tuple[int, int], tuple] = {}
         self.gens = gens or {}
         self.meta = meta or {}
-        self._tensor = None      # (dim, dim*dim) int64 fast path over GF(p)
+        self._constants = None   # sparse structure constants, see structure_constants
         # word-born extras, set by from_rewriting
         self.rules: Optional[RewriteSystem] = None
         self.words: Optional[List[bytes]] = None
@@ -344,98 +350,75 @@ class StructureAlgebra:
             self._table[(i, j)] = t
         return t
 
-    def _structure_tensor(self):
-        """Flattened int64 structure constants; GF(p) and small dims only."""
-        if self._tensor is None:
+    def structure_constants(self):
+        """(I, J, K, C, start): the nonzero structure constants
+        b_i b_j = sum_k C b_k as parallel arrays sorted by i, with the
+        entries of row i at start[i]:start[i+1].  Derived from the full
+        table on first use, which materializes it."""
+        if self._constants is None:
             self.materialize()
-            T = np.zeros((self.dim, self.dim * self.dim), dtype=np.int64)
-            for (i, j), entries in self._table.items():
-                base = j * self.dim
-                for k, c in entries:
-                    T[i, base + k] = int(c)
-            self._tensor = T
-        return self._tensor
+            ijk, vals = [], []
+            for i in range(self.dim):
+                for j in range(self.dim):
+                    for k, c in self._table[(i, j)]:
+                        ijk.append((i, j, k))
+                        vals.append(c)
+            I, J, K = np.array(ijk, dtype=np.int64).reshape(-1, 3).T
+            start = np.searchsorted(I, np.arange(self.dim + 1))
+            self._constants = (I, J, K, as_array(vals, self.field.p), start)
+        return self._constants
 
-    def _tensor_ok(self) -> bool:
-        return (self.field.kind == PRIME_FIELD and self.field.p < 2**15
-                and self.dim <= self.TENSOR_LIMIT)
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the structure constants whose i is in `rows`."""
+        start = self.structure_constants()[4]
+        lo, n = start[rows], start[rows + 1] - start[rows]
+        # position t of row r's run is lo[r] + t: offsets within the
+        # concatenated runs, shifted by each run's start
+        return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
     def mul(self, a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-        f = self.field
-        if len(a) * len(b) > 24 and self._tensor_ok():
-            p = f.p
-            va = np.zeros(self.dim, dtype=np.int64)
-            for i, c in a.items():
-                va[i] = int(c)
-            vb = np.zeros(self.dim, dtype=np.int64)
-            for j, c in b.items():
-                vb[j] = int(c)
-            M = (va @ self._structure_tensor()).reshape(self.dim, self.dim) % p
-            out_vec = (vb @ M) % p
-            return {k: int(v) for k, v in enumerate(out_vec) if v}
-        out: Dict[int, object] = {}
-        for i, ci in a.items():
-            if not ci:
-                continue
-            for j, cj in b.items():
-                if not cj:
-                    continue
-                c = f.mul(ci, cj)
-                for k, ck in self.product(i, j):
-                    v = f.mul(c, ck)
-                    if k in out:
-                        s = f.add(out[k], v)
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-                    else:
-                        out[k] = v
-        return out
+        I, J, K, C, _ = self.structure_constants()
+        m = self.field.p
+        va, vb = self.dense(a), self.dense(b)
+        sel = self._gather(np.flatnonzero(va))
+        sel = sel[np.flatnonzero(vb[J[sel]])]
+        vals = reduce_mod(reduce_mod(va[I[sel]] * vb[J[sel]], m) * C[sel], m)
+        return self.sparse(scatter_add(K[sel], vals, self.dim, m))
+
+    def right_matrix(self, x: Dict[int, object]) -> np.ndarray:
+        """Matrix of right multiplication by x: row i = coordinates of b_i x."""
+        I, J, K, C, _ = self.structure_constants()
+        vx = self.dense(x)
+        sel = np.flatnonzero(vx[J])
+        m = self.field.p
+        vals = reduce_mod(vx[J[sel]] * C[sel], m)
+        return scatter_add(I[sel] * self.dim + K[sel], vals, self.dim**2, m).reshape(
+            self.dim, self.dim)
+
+    def left_matrix(self, a: Dict[int, object]) -> np.ndarray:
+        """Matrix of left multiplication by a: row j = coordinates of a b_j."""
+        I, J, K, C, _ = self.structure_constants()
+        va = self.dense(a)
+        sel = self._gather(np.flatnonzero(va))
+        m = self.field.p
+        vals = reduce_mod(va[I[sel]] * C[sel], m)
+        return scatter_add(J[sel] * self.dim + K[sel], vals, self.dim**2, m).reshape(
+            self.dim, self.dim)
 
     def unit(self) -> Dict[int, object]:
         return dict(self.unit_coords)
 
-    def dense(self, coords: Dict[int, object]) -> list:
-        v = [self.field.zero()] * self.dim
-        for i, c in coords.items():
-            v[i] = c
+    def dense(self, coords: Dict[int, object]) -> np.ndarray:
+        """Coordinates as a vector in the field's array dtype."""
+        v = zeros(self.dim, self.field.p)
+        if coords:
+            v[list(coords)] = list(coords.values())
         return v
 
     def sparse(self, vec) -> Dict[int, object]:
-        return {i: c for i, c in enumerate(vec) if c}
-
-    def right_matrix(self, x: Dict[int, object]) -> list:
-        """Rows: row k = coordinates of b_k * x (right multiplication)."""
-        if self._tensor_ok():
-            return [[int(v) for v in row] for row in self.right_matrix_np(x)]
-        rows = []
-        for k in range(self.dim):
-            rows.append(self.dense(self.mul({k: self.field.one()}, x)))
-        return rows
-
-    def right_matrix_np(self, x: Dict[int, object]) -> np.ndarray:
-        """int64 matrix of right multiplication by x, entries reduced mod p."""
-        p = self.field.p
-        vx = np.zeros(self.dim, dtype=np.int64)
-        for j, c in x.items():
-            vx[j] = int(c)
-        T3 = self._structure_tensor().reshape(self.dim, self.dim, self.dim)
-        # R[i, k] = sum_j x_j T[i, j, k]
-        return np.tensordot(T3, vx, axes=([1], [0])) % p
-
-    def left_matrix_np(self, a: Dict[int, object]) -> np.ndarray:
-        """int64 matrix L with row j = coordinates of a * b_j."""
-        p = self.field.p
-        va = np.zeros(self.dim, dtype=np.int64)
-        for i, c in a.items():
-            va[i] = int(c)
-        return (va @ self._structure_tensor()).reshape(self.dim, self.dim) % p
-
-    def gen_coords(self, name: str) -> Dict[int, object]:
-        if name not in self.gens:
-            raise BuildError(f"unknown generator {name!r}")
-        return dict(self.gens[name])
+        vec = np.asarray(vec)
+        nz = np.flatnonzero(vec)
+        return dict(zip(nz.tolist(), vec[nz].tolist()))
 
     # -- word-born helpers -------------------------------------------------------
 
@@ -465,14 +448,6 @@ class StructureAlgebra:
             else:
                 rev[w] = c
         return self.nf_element(rev)
-
-    def element_str(self, coords: Dict[int, object]) -> str:
-        if not coords:
-            return "0"
-        bits = []
-        for i in sorted(coords):
-            bits.append(f"{self.field.render(coords[i])}*{self.labels[i]}")
-        return " + ".join(bits)
 
 
 # -- building -----------------------------------------------------------------
@@ -629,15 +604,7 @@ def semi_admissibility_degree(p: ParameterSet, degree_cap: Optional[int] = None,
     """Minimal d with {e_1, e_1 x_1, ..., e_1 x_1^d} dependent in the n = 2 quotient."""
     A = build_algebra(2, p, variant="bmw", degree_cap=degree_cap,
                       orientation13=orientation13)
-    f = A.field
-    e1 = bytes((E(1, 2),))
-    x = bytes((X(2),))
-    span = EchelonSpan(f, A.dim)
-    for k in range(p.r + 1):
-        vec = A.dense(A.nf_word(e1 + x * k))
-        if not span.insert(vec):
-            return k
-    return p.r
+    return _semi_degree_in_words(A.rules, A.words, p, 2)
 
 
 def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
@@ -695,18 +662,17 @@ def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebr
     if A.mul(e, e) != e:
         raise BuildError("corner requires an idempotent")
     span = EchelonSpan(f, A.dim)
-    for k in range(A.dim):
-        v = A.mul(A.mul(e, {k: f.one()}), e)
-        span.insert(A.dense(v))
+    # row k of L_e R_e is e b_k e
+    for row in matmul_mod(A.left_matrix(e), A.right_matrix(e), f.p):
+        span.insert(row)
     rows = span.row_lists()
     basis = RowBasis(rows, f)
     dim = len(rows)
-    sparse_rows = [{i: c for i, c in enumerate(row) if c} for row in rows]
+    sparse_rows = [A.sparse(row) for row in rows]
     table = {}
     for i in range(dim):
         for j in range(dim):
-            prod = A.mul(sparse_rows[i], sparse_rows[j])
-            coords = basis.coords([prod.get(t, f.zero()) for t in range(A.dim)])
+            coords = basis.coords(A.dense(A.mul(sparse_rows[i], sparse_rows[j])))
             table[(i, j)] = tuple((k, c) for k, c in enumerate(coords) if c)
     unit = basis.coords(A.dense(e))
     meta = {"parent_dim": A.dim, "parent_rows": rows}

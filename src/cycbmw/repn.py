@@ -21,7 +21,8 @@ import numpy as np
 import sympy
 
 from .fields import Field, PRIME_FIELD
-from .linalg import EchelonSpan, RowBasis, nullspace
+from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_mod,
+                     nullspace, reduce_mod, scatter_add)
 from .presentation import StructureAlgebra
 
 DEFAULT_SEED = 20260801
@@ -33,67 +34,26 @@ class AnalysisError(RuntimeError):
 
 # -- traces of the right regular representation -------------------------------
 
-def _basis_traces(A: StructureAlgebra) -> list:
-    """t[m] = trace of right multiplication by basis element m."""
-    f = A.field
-    t = []
-    for m in range(A.dim):
-        acc = f.zero()
-        for k in range(A.dim):
-            for j, c in A.product(k, m):
-                if j == k:
-                    acc = f.add(acc, c)
-        t.append(acc)
-    return t
-
-
-def _trace_gram(A: StructureAlgebra) -> list:
+def _trace_gram(A: StructureAlgebra) -> np.ndarray:
     """G[i][j] = tr(R_{b_i b_j}), assembled from structure constants."""
-    f = A.field
-    t = _basis_traces(A)
-    G = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            acc = f.zero()
-            for m, c in A.product(i, j):
-                if t[m]:
-                    acc = f.add(acc, f.mul(c, t[m]))
-            row.append(acc)
-        G.append(row)
-    return G
-
-
-def _right_matrix_int(A: StructureAlgebra, coords: Dict[int, object]) -> np.ndarray:
-    """Integer lift of the right-multiplication matrix (GF(p) only).
-
-    int64 when the arithmetic below cannot overflow, object otherwise."""
-    if A._tensor_ok():
-        return A.right_matrix_np(coords)
-    small = A.dim * (A.field.p - 1) ** 2 < 2**62
-    M = np.zeros((A.dim, A.dim), dtype=np.int64 if small else object)
-    for k in range(A.dim):
-        row = A.mul({k: 1}, coords)
-        for j, c in row.items():
-            M[k, j] = int(c)
-    return M
+    I, J, K, C, _ = A.structure_constants()
+    m = A.field.p
+    diag = I == K
+    # t[j] = tr(R_{b_j}) = sum_k c_{k j k}
+    t = scatter_add(J[diag], C[diag], A.dim, m)
+    return scatter_add(I * A.dim + J, reduce_mod(C * t[K], m), A.dim**2, m).reshape(
+        A.dim, A.dim)
 
 
 def _power_trace_mod(M: np.ndarray, power: int, mod: int) -> int:
-    """tr(M^power) mod `mod`, by binary powering over Z/mod."""
-    n = M.shape[0]
-    if n * (mod - 1) ** 2 < 2**62:
-        acc = np.eye(n, dtype=np.int64)
-        base = M.astype(np.int64) % mod
-    else:
-        acc = np.eye(n, dtype=object)
-        base = M.astype(object) % mod
-    e = power
-    while e:
-        if e & 1:
-            acc = acc @ base % mod
-        base = base @ base % mod
-        e >>= 1
+    """tr(M^power) mod `mod` for power >= 1, by binary powering over Z/mod."""
+    acc = None
+    while power:
+        if power & 1:
+            acc = M if acc is None else matmul_mod(acc, M, mod)
+        power >>= 1
+        if power:
+            M = matmul_mod(M, M, mod)
     return int(np.trace(acc)) % mod
 
 
@@ -107,45 +67,28 @@ def radical(A: StructureAlgebra) -> List[list]:
     nilpotent two-sided ideal before it is returned.
     """
     f = A.field
-    G = _trace_gram(A)
-    basis = nullspace(G, A.dim, f)
+    basis = nullspace(_trace_gram(A), A.dim, f)
     if f.kind == PRIME_FIELD:
         p = f.p
         i = 1
         while p**i <= A.dim and basis:
             mod = p ** (i + 1)
-            sparse = [{k: c for k, c in enumerate(v) if c} for v in basis]
             # lift once per basis element; R_{xy} lifts as the product of lifts
-            lifts = [_right_matrix_int(A, v) for v in sparse]
-            safe = A.dim * (p - 1) ** 2 < 2**62
+            lifts = [A.right_matrix(A.sparse(v)).astype(dtype_for(mod)) for v in basis]
             gram = []
             for Ms in lifts:
                 row = []
                 for Mt in lifts:
-                    if safe and Ms.dtype == np.int64 and Mt.dtype == np.int64:
-                        prod = (Ms @ Mt) % mod
-                    else:
-                        prod = (Ms.astype(object) @ Mt.astype(object)) % mod
-                    tr = _power_trace_mod(prod, p**i, mod)
+                    tr = _power_trace_mod(matmul_mod(Ms, Mt, mod), p**i, mod)
                     if tr % (p**i):
                         raise AnalysisError("p-power trace not divisible as expected")
                     row.append((tr // p**i) % p)
                 gram.append(row)
             coords = nullspace(gram, len(basis), f)
-            basis = [_combine(coords_row, basis, f) for coords_row in coords]
+            basis = matmul(coords, basis, f) if coords else []
             i += 1
     _certify_nilpotent_ideal(A, basis)
     return basis
-
-
-def _combine(coeffs, vectors, f):
-    out = [f.zero()] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, x in enumerate(v):
-                if x:
-                    out[j] = f.add(out[j], f.mul(c, x))
-    return out
 
 
 def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
@@ -158,13 +101,13 @@ def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
     multipliers = list(A.gens.values()) if A.gens else [
         {i: f.one()} for i in range(A.dim)]
     for v in basis:
-        sv = {k: c for k, c in enumerate(v) if c}
+        sv = A.sparse(v)
         for m in multipliers:
             for prod in (A.mul(sv, m), A.mul(m, sv)):
                 if not span.contains(A.dense(prod)):
                     raise AnalysisError("radical candidate is not an ideal")
     # repeated squaring of the ideal: dims must strictly fall to 0
-    current = [{k: c for k, c in enumerate(v) if c} for v in basis]
+    current = [A.sparse(v) for v in basis]
     while current:
         nxt_span = EchelonSpan(f, A.dim)
         nxt = []
@@ -203,14 +146,14 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientDa
     pos = {j: t for t, j in enumerate(complement)}
 
     def project(coords: Dict[int, object]) -> Dict[int, object]:
-        vec = span.reduce(A.dense(coords))
+        vec = span.reduce(A.dense(coords)).tolist()
         return {pos[j]: vec[j] for j in complement if vec[j]}
 
     table = {}
     dim = len(complement)
     for a in range(dim):
         for b in range(dim):
-            prod = A.mul({complement[a]: f.one()}, {complement[b]: f.one()})
+            prod = dict(A.product(complement[a], complement[b]))
             table[(a, b)] = tuple(sorted(project(prod).items()))
     unit = project(A.unit())
     gens = {name: project(coords) for name, coords in A.gens.items()}
@@ -228,19 +171,9 @@ def center(S: StructureAlgebra) -> List[list]:
     (or against every basis element when no generator set is known)."""
     f = S.field
     gens = list(S.gens.values()) if S.gens else [{i: f.one()} for i in range(S.dim)]
-    equations = []
-    for g in gens:
-        # z * g - g * z = 0, one equation per output coordinate
-        D = [[f.zero()] * S.dim for _ in range(S.dim)]
-        for i in range(S.dim):
-            right = S.mul({i: f.one()}, g)
-            left = S.mul(g, {i: f.one()})
-            for j, c in right.items():
-                D[i][j] = f.add(D[i][j], c)
-            for j, c in left.items():
-                D[i][j] = f.sub(D[i][j], c)
-        for j in range(S.dim):
-            equations.append([D[i][j] for i in range(S.dim)])
+    # z g - g z = 0: column j of R_g - L_g is the equation for coordinate j
+    equations = np.vstack([reduce_mod(S.right_matrix(g) - S.left_matrix(g), f.p).T
+                           for g in gens])
     return nullspace(equations, S.dim, f)
 
 
@@ -249,25 +182,17 @@ def _minimal_polynomial(S: StructureAlgebra, w: Dict[int, object],
     """Monic minimal polynomial (ascending raw coefficients) of w in the
     unital algebra (span, unit)."""
     f = S.field
+    Rw = S.right_matrix(w)
+    cur = S.dense(unit)
     span = EchelonSpan(f, S.dim)
-    span.insert(S.dense(unit))
-    Rw = S.right_matrix_np(w) if S._tensor_ok() else None
-    power_rows = [S.dense(unit)]
-    cur_vec = S.dense(unit)
-    cur = dict(unit)
+    span.insert(cur)
+    powers = [cur]
     while True:
-        if Rw is not None:
-            cur_vec = [int(x) for x in
-                       (np.asarray(cur_vec, dtype=np.int64) @ Rw) % f.p]
-        else:
-            cur = S.mul(cur, w)
-            cur_vec = S.dense(cur)
-        if not span.insert(list(cur_vec)):
-            basis = RowBasis(power_rows, f)
-            coeffs = basis.coords(cur_vec)
-            mp = [f.neg(c) for c in coeffs] + [f.one()]
-            return mp
-        power_rows.append(list(cur_vec))
+        cur = matmul_mod(cur, Rw, f.p)
+        if not span.insert(cur):
+            coeffs = RowBasis(powers, f).coords(cur)
+            return [f.neg(c) for c in coeffs] + [f.one()]
+        powers.append(cur)
 
 
 def _sympy_poly(coeffs, f: Field):
@@ -314,26 +239,13 @@ def _dom_kwargs(f: Field):
 def _eval_poly(S: StructureAlgebra, coeffs, w: Dict[int, object],
                unit: Dict[int, object]) -> Dict[int, object]:
     """Horner evaluation of sum c_k w^k with w^0 = unit."""
-    f = S.field
-    if S._tensor_ok():
-        Rw = S.right_matrix_np(w)
-        uvec = np.zeros(S.dim, dtype=np.int64)
-        for i, c in unit.items():
-            uvec[i] = int(c)
-        acc = np.zeros(S.dim, dtype=np.int64)
-        for c in reversed(coeffs):
-            acc = (acc @ Rw + int(c) * uvec) % f.p
-        return {i: int(v) for i, v in enumerate(acc) if v}
-    acc: Dict[int, object] = {}
+    m = S.field.p
+    Rw = S.right_matrix(w)
+    u = S.dense(unit)
+    acc = S.dense({})
     for c in reversed(coeffs):
-        acc = S.mul(acc, w)
-        if c:
-            for i, uc in unit.items():
-                v = f.mul(c, uc)
-                acc[i] = f.add(acc.get(i, f.zero()), v)
-                if not acc[i]:
-                    del acc[i]
-    return acc
+        acc = reduce_mod(matmul_mod(acc, Rw, m) + c * u, m)
+    return S.sparse(acc)
 
 
 def central_primitive_idempotents(S: StructureAlgebra,
@@ -342,7 +254,7 @@ def central_primitive_idempotents(S: StructureAlgebra,
     f = S.field
     idems = [S.unit()] if any(S.unit().values()) else []
     for z_row in center_rows:
-        z = {i: c for i, c in enumerate(z_row) if c}
+        z = S.sparse(z_row)
         nxt = []
         for eps in idems:
             w = S.mul(S.mul(eps, z), eps)
@@ -397,19 +309,9 @@ class WedderburnReport:
         }
 
 
-def _sandwich_rows(S: StructureAlgebra, e: Dict[int, object]):
-    """Rows spanning e*S*e: row i = e * b_i * e."""
-    if S._tensor_ok():
-        p = S.field.p
-        return (S.left_matrix_np(e) @ S.right_matrix_np(e) % p).tolist()
-    return [S.dense(S.mul(S.mul(e, {i: S.field.one()}), e)) for i in range(S.dim)]
-
-
-def _left_mult_rows(S: StructureAlgebra, e: Dict[int, object]):
-    """Rows spanning e*S: row i = e * b_i."""
-    if S._tensor_ok():
-        return S.left_matrix_np(e).tolist()
-    return [S.dense(S.mul(e, {i: S.field.one()})) for i in range(S.dim)]
+def _sandwich_rows(S: StructureAlgebra, e: Dict[int, object]) -> np.ndarray:
+    """Rows spanning e*S*e: row i of L_e R_e is e * b_i * e."""
+    return matmul_mod(S.left_matrix(e), S.right_matrix(e), S.field.p)
 
 
 def _span_of(S: StructureAlgebra, rows) -> EchelonSpan:
@@ -428,7 +330,8 @@ def _corner_dim(S: StructureAlgebra, e: Dict[int, object]) -> int:
 
 
 def _right_ideal_dim(S: StructureAlgebra, e: Dict[int, object]) -> int:
-    return _span_of(S, _left_mult_rows(S, e)).dim
+    """dim e*S, spanned by the rows e * b_i of L_e."""
+    return _span_of(S, S.left_matrix(e)).dim
 
 
 def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
@@ -441,35 +344,26 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
     nothing splits within the budget (reported by callers, never fudged).
     """
     f = S.field
+    m = f.p
     rng = random.Random(seed)
     e = dict(eps)
     guard = 0
     while guard < 200:
         guard += 1
         corner = EchelonSpan(f, S.dim)
-        corner_rows = []
-        for row in _sandwich_rows(S, e):
-            if corner.insert(list(row)):
-                corner_rows.append({i: c for i, c in enumerate(row) if c})
+        kept = as_array([row for row in _sandwich_rows(S, e) if corner.insert(row)], m)
         if corner.dim == 1:
             return e
+        corner_rows = [S.sparse(row) for row in kept]
+
         def candidates():
             # basis sweep first (cheap, catches the classical cases), then
             # seeded combinations, then the quadratic product sweep
-            for v in corner_rows:
-                yield v
+            yield from corner_rows
             for _ in range(tries):
-                acc: Dict[int, object] = {}
-                for v in corner_rows:
-                    c = f.of_int(rng.randrange(f.p)) if f.kind == PRIME_FIELD \
-                        else f.of_int(rng.randrange(-9, 10))
-                    if c:
-                        for i, x in v.items():
-                            w = f.mul(c, x)
-                            acc[i] = f.add(acc.get(i, f.zero()), w)
-                            if not acc[i]:
-                                del acc[i]
-                yield acc
+                cs = [f.of_int(rng.randrange(m)) if f.kind == PRIME_FIELD
+                      else f.of_int(rng.randrange(-9, 10)) for _ in corner_rows]
+                yield S.sparse(matmul_mod(as_array(cs, m), kept, m))
             for a in corner_rows:
                 for b in corner_rows:
                     yield S.mul(a, b)
@@ -512,7 +406,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
         kdeg = None
         span = EchelonSpan(f, S.dim)
         for z_row in cen:
-            z = {i: c for i, c in enumerate(z_row) if c}
+            z = S.sparse(z_row)
             span.insert(S.dense(S.mul(eps, S.mul(z, eps))))
         kdeg = span.dim
         info = BlockInfo(dim=bdim, center_degree=kdeg, matrix_size=None,
@@ -583,14 +477,9 @@ class ModuleRep:
     def action_matrix(self, coords_in_A: Dict[int, object]) -> List[list]:
         """Matrix of v -> v * a on the row basis."""
         S = self.quot.S
-        a = self.quot.proj(coords_in_A)
-        if S._tensor_ok():
-            Ra = S.right_matrix_np(a)
-            imgs = (np.asarray(self.rows, dtype=np.int64) @ Ra) % S.field.p
-            imgs = [[int(x) for x in row] for row in imgs]
-        else:
-            imgs = [S.dense(S.mul({i: c for i, c in enumerate(row) if c}, a))
-                    for row in self.rows]
+        m = self.field.p
+        Ra = S.right_matrix(self.quot.proj(coords_in_A))
+        imgs = matmul_mod(as_array(self.rows, m), Ra, m)
         out = []
         for vec in imgs:
             coords = self.basis.coords(vec)
@@ -599,26 +488,20 @@ class ModuleRep:
             out.append(coords)
         return out
 
-    def generator_matrices(self, A: StructureAlgebra) -> Dict[str, List[list]]:
-        return {name: self.action_matrix(coords) for name, coords in A.gens.items()}
-
 
 def simple_modules(A: StructureAlgebra, report: WedderburnReport) -> List[ModuleRep]:
     """One simple right module per block, as e*(A/rad) for the block's
     primitive idempotent; requires every block to carry one."""
     quot = report._quotient
     S = quot.S
-    f = S.field
     out = []
     for info in report.block_info:
         if info.idempotent is None:
             raise AnalysisError(
                 "no primitive idempotent available for a block; "
                 "simple modules cannot be materialized")
-        span = EchelonSpan(f, S.dim)
-        for i in range(S.dim):
-            span.insert(S.dense(S.mul(info.idempotent, {i: f.one()})))
-        out.append(ModuleRep(quot, span.row_lists()))
+        rows = _span_of(S, S.left_matrix(info.idempotent)).row_lists()
+        out.append(ModuleRep(quot, rows))
     return out
 
 
@@ -630,10 +513,7 @@ def truncate_module(M: ModuleRep, e_coords_A: Dict[int, object],
     span = EchelonSpan(f, M.dim)
     for row in T:
         span.insert(row)
-    rows = span.row_lists()
-    if not rows:
-        return CornerModule(corner, [], M)
-    return CornerModule(corner, rows, M)
+    return CornerModule(corner, span.row_lists(), M)
 
 
 class CornerModule:
@@ -704,40 +584,18 @@ def _corner_module_is_simple(T: CornerModule, crep: WedderburnReport,
 
 def _lift_from_quotient(corner: StructureAlgebra, cquot: QuotientData,
                         eps: Dict[int, object]) -> Dict[int, object]:
-    f = corner.field
-    out: Dict[int, object] = {}
-    for i, c in eps.items():
-        lift = cquot.lift_rows[i]
-        for j, x in enumerate(lift):
-            if x:
-                v = f.mul(c, x)
-                out[j] = f.add(out.get(j, f.zero()), v)
-                if not out[j]:
-                    del out[j]
-    return out
+    m = corner.field.p
+    return corner.sparse(matmul_mod(cquot.S.dense(eps), as_array(cquot.lift_rows, m), m))
 
 
 def _corner_action(T: CornerModule, corner_coords: Dict[int, object]) -> List[list]:
     """Action of an arbitrary corner element (corner coordinates) on T."""
-    f = T.field
-    parent_rows = T.corner.meta["parent_rows"]
-    a: Dict[int, object] = {}
-    for t, c in corner_coords.items():
-        for j, x in enumerate(parent_rows[t]):
-            if x:
-                v = f.mul(c, x)
-                a[j] = f.add(a.get(j, f.zero()), v)
-                if not a[j]:
-                    del a[j]
-    big = T.parent.action_matrix(a)
+    m = T.field.p
+    parent_rows = as_array(T.corner.meta["parent_rows"], m)
+    a = T.corner.sparse(matmul_mod(T.corner.dense(corner_coords), parent_rows, m))
+    big = as_array(T.parent.action_matrix(a), m)
     out = []
-    for row in T.rows:
-        img = [f.zero()] * T.parent.dim
-        for t, c in enumerate(row):
-            if c:
-                for j in range(T.parent.dim):
-                    if big[t][j]:
-                        img[j] = f.add(img[j], f.mul(c, big[t][j]))
+    for img in matmul_mod(as_array(T.rows, m), big, m):
         coords = T.basis.coords(img)
         if coords is None:
             raise AnalysisError("corner action left the truncated space")

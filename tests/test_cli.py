@@ -154,3 +154,20 @@ def test_verify_only_filter(capsys):
 def test_unknown_flag_is_validation_error(capsys):
     code, out, err = run(capsys, "build", "--frobnicate")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--n", "2", *GENERIC, "--jobs", "2"),
+    ("build", "--n", "2", *GENERIC, "--seed", "5"),
+    ("classify", "--mode", "affine", "--n", "2", "--e", "2", "--jobs", "2"),
+    ("classify", "--mode", "affine", "--n", "2", "--e", "2", "--seed", "5"),
+    ("analyze", "unused.json", "--jobs", "2"),
+    ("semiadmissible", *GENERIC, "--jobs", "2"),
+    ("semiadmissible", *GENERIC, "--seed", "5"),
+    ("verify", "--only", "combinatorics", "--jobs", "2"),
+], ids=["build-jobs", "build-seed", "classify-jobs", "classify-seed", "analyze-jobs",
+        "semiadmissible-jobs", "semiadmissible-seed", "verify-jobs"])
+def test_removed_flags_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments" in err and not out

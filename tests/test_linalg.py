@@ -1,7 +1,13 @@
 import random
+from fractions import Fraction
 
-from cycbmw.fields import GF
-from cycbmw.linalg import matmul
+import numpy as np
+import pytest
+from sympy import GF as SymGF, QQ as SymQQ
+from sympy.polys.matrices import DomainMatrix
+
+from cycbmw.fields import GF, QQ
+from cycbmw.linalg import RowBasis, dtype_for, matmul, nullspace, rank, rref
 
 
 def test_matmul_no_int64_overflow_near_2_31():
@@ -13,3 +19,129 @@ def test_matmul_no_int64_overflow_near_2_31():
     B = [[rng.randrange(p) for _ in range(2)] for _ in range(9)]
     want = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
     assert matmul(A, B, F) == want
+
+
+# -- differential tests against sympy's DomainMatrix ---------------------------
+
+# Q, a small prime, 2^31 - 1, the two primes on either side of the
+# int64/object boundary (3,037,000,500), 2^61 - 1 and 2^63 - 25
+FIELDS = [QQ, GF(101), GF(2**31 - 1), GF(3037000493), GF(3037000507),
+          GF(2**61 - 1), GF(2**63 - 25)]
+IDS = ["Q", "p101", "p2^31-1", "p3037000493", "p3037000507", "p2^61-1", "p2^63-25"]
+
+
+def test_dtype_boundary():
+    assert dtype_for(3037000493) is np.int64
+    assert dtype_for(3037000507) is object
+    assert dtype_for(0) is object
+
+
+def _domain(field):
+    return SymQQ if field == QQ else SymGF(field.p)
+
+
+def _to_sympy(rows, ncols, field):
+    K = _domain(field)
+    conv = (lambda c: K(c.numerator, c.denominator)) if field == QQ else K
+    return DomainMatrix([[conv(c) for c in row] for row in rows], (len(rows), ncols), K)
+
+
+def _from_sympy(M, field):
+    if field == QQ:
+        conv = lambda c: Fraction(int(c.numerator), int(c.denominator))
+    else:
+        conv = lambda c: int(c) % field.p
+    return [[conv(c) for c in row] for row in M.to_list()]
+
+
+def _random_matrix(rng, field, nrows, ncols, rank_at_most=None):
+    """Seeded random matrix; a product through rank_at_most columns when set,
+    so that it is rank-deficient."""
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        return rng.randrange(field.p)
+    if rank_at_most is None:
+        return [[scalar() for _ in range(ncols)] for _ in range(nrows)]
+    L = [[scalar() for _ in range(rank_at_most)] for _ in range(nrows)]
+    R = [[scalar() for _ in range(ncols)] for _ in range(rank_at_most)]
+    return _from_sympy(_to_sympy(L, rank_at_most, field) * _to_sympy(R, ncols, field), field)
+
+
+def _cases(field, seed):
+    rng = random.Random(seed)
+    out = []
+    for nrows, ncols, r in ((5, 7, None), (7, 5, None), (6, 6, 3), (8, 9, 4),
+                            (4, 4, 1), (3, 6, None)):
+        out.append(_random_matrix(rng, field, nrows, ncols, r))
+    # zero rows, a zero column and a repeated row
+    M = _random_matrix(rng, field, 4, 5)
+    for row in M:
+        row[2] = field.zero()
+    out.append(M + [list(M[0]), [field.zero()] * 5])
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_rref_rank_nullspace_match_sympy(field):
+    for M in _cases(field, 5):
+        ncols = len(M[0])
+        S = _to_sympy(M, ncols, field)
+        red, piv = S.rref()
+        want_rows = [row for row in _from_sympy(red, field) if any(row)]
+        assert rref(M, field) == (want_rows, list(piv))
+        assert rank(M, field) == S.rank() == len(want_rows)
+        if field == QQ:           # never an int, whose inverse would be a float
+            assert all(type(c) is Fraction for row in want_rows for c in row)
+            assert all(type(c) is Fraction for row in rref(M, field)[0] for c in row)
+        # sympy scales its nullspace rows differently over GF(p): compare
+        # spans, then the canonical shape (identity on the free columns)
+        null = nullspace(M, ncols, field)
+        free = [j for j in range(ncols) if j not in piv]
+        assert len(null) == len(free)
+        if null:
+            ours = _to_sympy(null, ncols, field).rref()[0]
+            theirs = S.nullspace().rref()[0]
+            assert _from_sympy(ours, field) == _from_sympy(theirs, field)
+            assert _from_sympy(_to_sympy(M, ncols, field) * _to_sympy(null, ncols, field).transpose(),
+                               field) == [[field.zero()] * len(null)] * len(M)
+        if field == QQ:
+            assert all(type(c) is Fraction for row in null for c in row)
+        for t, row in enumerate(null):
+            assert [row[j] for j in free] == [field.one() if u == t else field.zero()
+                                              for u in range(len(free))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_matmul_matches_sympy(field):
+    rng = random.Random(7)
+    for n, k, m in ((3, 4, 5), (6, 6, 6), (1, 9, 2), (7, 1, 3)):
+        A = _random_matrix(rng, field, n, k)
+        B = _random_matrix(rng, field, k, m)
+        want = _from_sympy(_to_sympy(A, k, field) * _to_sympy(B, m, field), field)
+        assert matmul(A, B, field) == want
+    # the largest residues everywhere: every product term is (p-1)^2
+    if field != QQ:
+        top = field.p - 1
+        A, B = [[top] * 8] * 3, [[top] * 4] * 8
+        assert matmul(A, B, field) == [[8 % field.p] * 4] * 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_rowbasis_coords_match_sympy(field):
+    rng = random.Random(11)
+    for k, n in ((1, 4), (3, 6), (5, 5), (4, 9)):
+        rows = _random_matrix(rng, field, k, n)
+        S = _to_sympy(rows, n, field)
+        assert S.rank() == k          # seeded draws are independent
+        basis = RowBasis(rows, field)
+        for _ in range(4):
+            x = _random_matrix(rng, field, 1, k)
+            v = _from_sympy(_to_sympy(x, k, field) * S, field)[0]
+            assert basis.coords(v) == x[0]
+        w = _random_matrix(rng, field, 1, n)
+        inside = _to_sympy(rows + w, n, field).rank() == k
+        assert (basis.coords(w[0]) is not None) == inside
+    dependent = _random_matrix(rng, field, 4, 6, rank_at_most=2)
+    with pytest.raises(ValueError):
+        RowBasis(dependent, field)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -268,3 +269,62 @@ def test_functor_ariki_koike_all_annihilated():
     mods = simple_modules(A, rep)
     for M in mods:
         assert truncate_module(M, e, C).dim == 0
+
+
+def _generic_over(field, r):
+    q = field(2)
+    u = [(q * q) ** (1 + 4 * i) for i in range(r)]
+    prod = field(1)
+    for x in u:
+        prod = prod * x
+    alpha = field(1) if r % 2 else q.inv()
+    return ParameterSet(field, q, (alpha * prod).inv(), u, admissible=True)
+
+
+MULT_CASES = {
+    "q_b13": lambda: build_algebra(3, ParameterSet(QQ, 2, "1/3", [3], admissible=True)),
+    "gf101_b22": lambda: build_algebra(2, generic(2)),
+    "gf2p61_b32": lambda: build_algebra(2, _generic_over(GF(2**61 - 1), 3)),
+    # the largest int64 prime: a product of two residues times a third overflows
+    "gf3037000493_b22": lambda: build_algebra(2, _generic_over(GF(3037000493), 2)),
+}
+
+
+def _table_product(A, a, b):
+    """sum a_i b_j (b_i b_j) straight from the product table."""
+    f = A.field
+    out = [f.zero()] * A.dim
+    for i, ci in a.items():
+        for j, cj in b.items():
+            for k, c in A.product(i, j):
+                out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(MULT_CASES))
+def test_multiplication_matches_product_table(case):
+    A = MULT_CASES[case]()
+    f = A.field
+    one = f.one()
+    basis = [{i: one} for i in range(A.dim)]
+    for j in range(A.dim):
+        R, L = A.right_matrix(basis[j]).tolist(), A.left_matrix(basis[j]).tolist()
+        for i in range(A.dim):
+            want = A.dense(dict(A.product(i, j))).tolist()
+            assert R[i] == want and A.mul(basis[i], basis[j]) == A.sparse(want)
+            assert L[i] == A.dense(dict(A.product(j, i))).tolist()
+    rng = random.Random(13)
+
+    def element():
+        out = {}
+        for k in rng.sample(range(A.dim), rng.randrange(1, 6)):
+            c = (Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) if f == QQ
+                 else rng.randrange(f.p))
+            if c:
+                out[k] = c
+        return out
+    for _ in range(10):
+        a, x = element(), element()
+        assert A.mul(a, x) == A.sparse(_table_product(A, a, x))
+        assert A.right_matrix(x).tolist() == [_table_product(A, b, x) for b in basis]
+        assert A.left_matrix(a).tolist() == [_table_product(A, a, b) for b in basis]
