@@ -4,7 +4,9 @@ Jacobson radical (trace-form kernel in characteristic 0; the iterated
 p-power trace refinement in characteristic p, evaluated on integer lifts
 of the regular representation), Wedderburn block data of the semisimple
 quotient through its center, explicit simple right modules via primitive
-idempotents, and the idempotent-truncation functor M -> M e.
+idempotents, and the idempotent-truncation functor M -> M e.  The central
+idempotents are split inside the center algebra Z, not inside the
+quotient: dim Z is the sum of the blocks' center degrees.
 
 All linear algebra is exact; random choices (only used to hunt splitting
 elements inside a block) are driven by an explicit seed and the
@@ -214,7 +216,10 @@ def _coeffs_from_sympy(poly, f: Field) -> list:
 def _coprime_idempotent_polys(mp_coeffs, f: Field):
     """Polynomials h_a with h_a = 1 mod primary factor a, 0 mod the rest.
 
-    Empty list when the minimal polynomial is primary (no split there)."""
+    Empty list when the minimal polynomial is primary (no split there),
+    which a linear one always is."""
+    if len(mp_coeffs) <= 2:
+        return []
     poly = _sympy_poly(mp_coeffs, f)
     _, factors = poly.factor_list()
     if len(factors) < 2:
@@ -250,28 +255,52 @@ def _eval_poly(S: StructureAlgebra, coeffs, w: Dict[int, object],
 
 def central_primitive_idempotents(S: StructureAlgebra,
                                   center_rows: List[list]) -> List[Dict[int, object]]:
-    """Split the commutative semisimple center along minimal polynomials."""
+    """Split the commutative semisimple center along minimal polynomials.
+
+    The splitting runs inside the center algebra Z, of dimension
+    k = len(center_rows), with its table read off one right matrix per
+    center basis element; Z -> S, x -> x.center_rows, is an injective
+    algebra map, so minimal polynomials and idempotents are those of S."""
     f = S.field
-    idems = [S.unit()] if any(S.unit().values()) else []
-    for z_row in center_rows:
-        z = S.sparse(z_row)
+    m = f.p
+    if not center_rows:
+        return []
+    Zm = as_array(center_rows, m)
+    basis = RowBasis(center_rows, f)
+
+    def z_coords(vec) -> Dict[int, object]:
+        coords = basis.coords(vec)
+        if coords is None:
+            raise AnalysisError("center is not closed under products")
+        return {a: c for a, c in enumerate(coords) if c}
+
+    table = {}
+    for b, z_row in enumerate(center_rows):
+        # row a of Zm R_{z_b} is z_a z_b
+        for a, prod in enumerate(matmul_mod(Zm, S.right_matrix(S.sparse(z_row)), m)):
+            table[(a, b)] = tuple(z_coords(prod).items())
+    Z = StructureAlgebra.from_table(f, table, len(center_rows), z_coords(S.dense(S.unit())))
+    idems = [Z.unit()]
+    for b in range(Z.dim):
+        z = {b: f.one()}
         nxt = []
         for eps in idems:
-            w = S.mul(S.mul(eps, z), eps)
-            mp = _minimal_polynomial(S, w, eps)
+            w = Z.mul(Z.mul(eps, z), eps)
+            mp = _minimal_polynomial(Z, w, eps)
             hs = _coprime_idempotent_polys(mp, f)
             if not hs:
                 nxt.append(eps)
                 continue
             for h in hs:
-                part = _eval_poly(S, h, w, eps)
+                part = _eval_poly(Z, h, w, eps)
                 if part:
                     nxt.append(part)
         idems = nxt
-    for eps in idems:
+    out = [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
+    for eps in out:
         if S.mul(eps, eps) != eps:
             raise AnalysisError("central idempotent candidate fails e^2 = e")
-    return idems
+    return out
 
 
 # -- block data and simple modules ------------------------------------------------
@@ -306,12 +335,22 @@ class WedderburnReport:
             "split": self.split,
             "classification_count": classification_count,
             "match": match,
+            "caveats": list(self.caveats),
+            "block_info": [{"dim": b.dim, "center_degree": b.center_degree,
+                            "matrix_size": b.matrix_size, "division_dim": b.division_dim,
+                            "split": b.split} for b in self.block_info],
         }
 
 
 def _sandwich_rows(S: StructureAlgebra, e: Dict[int, object]) -> np.ndarray:
     """Rows spanning e*S*e: row i of L_e R_e is e * b_i * e."""
     return matmul_mod(S.left_matrix(e), S.right_matrix(e), S.field.p)
+
+
+def _independent_rows(S: StructureAlgebra, rows) -> np.ndarray:
+    """The rows that are independent of the rows before them."""
+    span = EchelonSpan(S.field, S.dim)
+    return as_array([row for row in rows if span.insert(row)], S.field.p)
 
 
 def _span_of(S: StructureAlgebra, rows) -> EchelonSpan:
@@ -321,23 +360,17 @@ def _span_of(S: StructureAlgebra, rows) -> EchelonSpan:
     return span
 
 
-def _block_span(S: StructureAlgebra, eps: Dict[int, object]) -> EchelonSpan:
-    return _span_of(S, _sandwich_rows(S, eps))
-
-
-def _corner_dim(S: StructureAlgebra, e: Dict[int, object]) -> int:
-    return _span_of(S, _sandwich_rows(S, e)).dim
-
-
 def _right_ideal_dim(S: StructureAlgebra, e: Dict[int, object]) -> int:
     """dim e*S, spanned by the rows e * b_i of L_e."""
     return _span_of(S, S.left_matrix(e)).dim
 
 
 def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
-                         seed: int = DEFAULT_SEED,
-                         tries: int = 60) -> Optional[Dict[int, object]]:
-    """Refine eps to a primitive idempotent of eps*S*eps.
+                         corner: np.ndarray, seed: int = DEFAULT_SEED,
+                         tries: int = 60) -> Optional[Tuple[Dict[int, object], int]]:
+    """Refine eps to a primitive idempotent e of eps*S*eps and return
+    (e, dim e*S*e); `corner` is a basis of eps*S*eps, the independent
+    rows of `_sandwich_rows(S, eps)`.
 
     Deterministic sweep through corner basis elements and their pairwise
     products first, then seeded random corner elements.  Returns None when
@@ -350,11 +383,9 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
     guard = 0
     while guard < 200:
         guard += 1
-        corner = EchelonSpan(f, S.dim)
-        kept = as_array([row for row in _sandwich_rows(S, e) if corner.insert(row)], m)
-        if corner.dim == 1:
-            return e
-        corner_rows = [S.sparse(row) for row in kept]
+        if len(corner) == 1:
+            return e, len(corner)
+        corner_rows = [S.sparse(row) for row in corner]
 
         def candidates():
             # basis sweep first (cheap, catches the classical cases), then
@@ -363,7 +394,7 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
             for _ in range(tries):
                 cs = [f.of_int(rng.randrange(m)) if f.kind == PRIME_FIELD
                       else f.of_int(rng.randrange(-9, 10)) for _ in corner_rows]
-                yield S.sparse(matmul_mod(as_array(cs, m), kept, m))
+                yield S.sparse(matmul_mod(as_array(cs, m), corner, m))
             for a in corner_rows:
                 for b in corner_rows:
                     yield S.mul(a, b)
@@ -377,6 +408,7 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
                 part = _eval_poly(S, hs[0], w, e)
                 if part and part != e:
                     e = part
+                    corner = _independent_rows(S, _sandwich_rows(S, e))
                     split_found = True
                     break
         if not split_found:
@@ -402,18 +434,16 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     infos = []
     caveats = []
     for eps in idems:
-        bdim = _block_span(S, eps).dim
-        kdeg = None
-        span = EchelonSpan(f, S.dim)
-        for z_row in cen:
-            z = S.sparse(z_row)
-            span.insert(S.dense(S.mul(eps, S.mul(z, eps))))
-        kdeg = span.dim
+        sandwich = _sandwich_rows(S, eps)
+        corner = _independent_rows(S, sandwich)
+        bdim = len(corner)
+        # row t of cen (L_eps R_eps) is eps z_t eps: the block's center
+        kdeg = _span_of(S, matmul_mod(as_array(cen, f.p), sandwich, f.p)).dim
         info = BlockInfo(dim=bdim, center_degree=kdeg, matrix_size=None,
                          division_dim=None)
-        e = primitive_idempotent(S, eps, seed=seed)
-        if e is not None:
-            ddim = _corner_dim(S, e)
+        found = primitive_idempotent(S, eps, corner, seed=seed)
+        if found is not None:
+            e, ddim = found
             rdim = _right_ideal_dim(S, e)
             info.idempotent = e
             info.division_dim = ddim

@@ -110,6 +110,13 @@ def test_analyze_roundtrip(tmp_path, capsys):
     assert payload["split"] is True
     assert payload["classification_count"] == 4
     assert payload["match"] is True
+    assert payload["caveats"] == []
+    assert len(payload["block_info"]) == 4
+    for info in payload["block_info"]:
+        assert info["center_degree"] == 1 and info["split"] is True
+        assert info["division_dim"] == 1 and info["dim"] == info["matrix_size"] ** 2
+    assert sorted((b["matrix_size"] for b in payload["block_info"]),
+                  reverse=True) == payload["blocks"]
 
 
 def test_analyze_ariki_koike_dump(tmp_path, capsys):

@@ -2,9 +2,33 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycbmw.fields import (GF, QQ, Field, FieldError, ZeroInversionError,
                            multiplicative_order)
+
+# Property tests draw their examples from a fixed derandomized profile, so
+# every run of the suite checks the same examples.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+DETERMINISTIC = settings.get_profile("deterministic")
+
+# word-sized primes on both sides of the int64 matrix limit, and Q
+PROPERTY_FIELDS = [GF(p) for p in (2, 101, 2**31 - 1, 3037000493, 2**61 - 1,
+                                   2**63 - 25)] + [QQ]
+FIELD_IDS = [f.descriptor_string() for f in PROPERTY_FIELDS]
+
+
+def raw_values(field):
+    if field == QQ:
+        return st.fractions(max_denominator=10**20)
+    return st.integers(0, field.p - 1)
+
+
+def canonical(field, x) -> bool:
+    if field == QQ:
+        return isinstance(x, Fraction)
+    return isinstance(x, int) and 0 <= x < field.p
 
 
 def test_gf7_basic():
@@ -98,3 +122,47 @@ def test_descriptor_mismatch():
         GF(7)(1) + GF(11)(1)
     with pytest.raises(FieldError):
         QQ(1) * GF(7)(1)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=FIELD_IDS)
+@DETERMINISTIC
+@given(data=st.data())
+def test_field_axioms_property(field, data):
+    a, b, c = (data.draw(raw_values(field)) for _ in range(3))
+    add, mul = field.add, field.mul
+    zero, one = field.zero(), field.one()
+    for x in (add(a, b), mul(a, b), field.sub(a, b), field.neg(a)):
+        assert canonical(field, x)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(a, field.neg(a)) == zero and field.sub(a, b) == add(a, field.neg(b))
+    assert mul(a, one) == a and add(a, zero) == a
+    if a:
+        inv = field.inv(a)
+        assert canonical(field, inv) and mul(a, inv) == one
+        assert field.div(b, a) == mul(b, inv)
+    else:
+        with pytest.raises(ZeroInversionError):
+            field.inv(a)
+    x, y = field(a), field(b)
+    assert (x + y).value == add(a, b) and (x * y).value == mul(a, b)
+    assert (x - y).value == field.sub(a, b)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=FIELD_IDS)
+@DETERMINISTIC
+@given(data=st.data(), n=st.integers(-2**130, 2**130))
+def test_of_int_parse_render_round_trip(field, data, n):
+    a = data.draw(raw_values(field))
+    assert field.parse(field.render(a)) == a
+    assert field(field.render(a)) == field(a)
+    assert canonical(field, field.of_int(n))
+    assert field.of_int(n) == field.parse(str(n)) == field(n).value
+    if field == QQ:
+        assert field.of_int(n) == Fraction(n)
+        assert field.render(a) == str(a)
+    else:
+        assert field.of_int(n) == n % field.p
+        assert field.render(field.of_int(n)) == str(n % field.p)

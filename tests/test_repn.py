@@ -8,9 +8,11 @@ from cycbmw.fields import GF, QQ
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import (StructureAlgebra, build_algebra, corner_algebra,
                                  truncation_idempotent)
-from cycbmw.repn import (count_simples, functor_grading_check, radical,
-                         semisimple_quotient, simple_modules, truncate_module,
-                         wedderburn)
+from cycbmw import repn
+from cycbmw.repn import (_coprime_idempotent_polys, _eval_poly, _minimal_polynomial,
+                         center, central_primitive_idempotents, count_simples,
+                         functor_grading_check, radical, semisimple_quotient,
+                         simple_modules, truncate_module, wedderburn)
 from cycbmw.combinatorics import Multicharge, classify_cyclotomic
 
 F101 = GF(101)
@@ -91,17 +93,105 @@ def test_radical_matrix_algebra_char_p():
     assert rep.block_dims_sorted() == [2] and rep.split
 
 
-def test_nonsplit_detected():
-    # GF(4) as a GF(2)-algebra: one block, center degree 2, not split
+def gf4_over_gf2():
+    """GF(4) = GF(2)[w]/(w^2 + w + 1) as a 2-dimensional GF(2)-algebra."""
     F2 = GF(2)
     one = F2.one()
     tbl = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),),
            (1, 1): ((0, one), (1, one))}
-    A = StructureAlgebra.from_table(F2, tbl, 2, {0: one}, labels=["1", "w"],
-                                    gens={"w": {1: one}})
+    return StructureAlgebra.from_table(F2, tbl, 2, {0: one}, labels=["1", "w"],
+                                       gens={"w": {1: one}})
+
+
+def test_nonsplit_detected():
+    # GF(4) as a GF(2)-algebra: one block, center degree 2, not split
+    A = gf4_over_gf2()
     rep = wedderburn(A, radical(A))
     assert not rep.split
     assert rep.block_info[0].center_degree == 2
+
+
+def test_to_json_reports_blocks_and_caveats():
+    A = gf4_over_gf2()
+    payload = wedderburn(A, radical(A)).to_json()
+    assert payload["blocks"] == [1] and payload["split"] is False
+    assert payload["caveats"] == []
+    assert payload["block_info"] == [{"dim": 2, "center_degree": 2, "matrix_size": 1,
+                                      "division_dim": None, "split": False}]
+
+
+def _split_in_algebra(S, center_rows):
+    """The split of the center run on dim-sized elements of S itself: the
+    reference that central_primitive_idempotents must reproduce."""
+    f = S.field
+    idems = [S.unit()] if any(S.unit().values()) else []
+    for z_row in center_rows:
+        z = S.sparse(z_row)
+        nxt = []
+        for eps in idems:
+            w = S.mul(S.mul(eps, z), eps)
+            hs = _coprime_idempotent_polys(_minimal_polynomial(S, w, eps), f)
+            if not hs:
+                nxt.append(eps)
+                continue
+            for h in hs:
+                part = _eval_poly(S, h, w, eps)
+                if part:
+                    nxt.append(part)
+        idems = nxt
+    return idems
+
+
+SPLIT_CASES = {
+    "gf4_over_gf2": gf4_over_gf2,
+    "s3_q": lambda: group_algebra_s3(QQ),
+    "s3_gf3": lambda: group_algebra_s3(GF(3)),
+    "m2_gf2": lambda: matrix_algebra(GF(2), 2),
+    "gf101_b22": lambda: build_algebra(2, generic(2)),
+    "q_b13": lambda: build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_center_split_matches_split_in_algebra(case):
+    A = SPLIT_CASES[case]()
+    S = semisimple_quotient(A, radical(A)).S
+    cen = center(S)
+    idems = central_primitive_idempotents(S, cen)
+    assert idems == _split_in_algebra(S, cen)
+    f = S.field
+    total = {}
+    for a, e in enumerate(idems):
+        for b, e2 in enumerate(idems):
+            assert S.mul(e, e2) == (e if a == b else {})
+        for g in S.gens.values():
+            assert S.mul(e, g) == S.mul(g, e)
+        for i, c in e.items():
+            total[i] = f.add(total.get(i, f.zero()), c)
+    assert {i: c for i, c in total.items() if c} == S.unit()
+
+
+def test_linear_minimal_polynomial_skips_sympy(monkeypatch):
+    def boom(*args):
+        raise AssertionError("sympy called on a linear polynomial")
+    monkeypatch.setattr(repn, "_sympy_poly", boom)
+    assert _coprime_idempotent_polys([3, 1], F101) == []
+    assert _coprime_idempotent_polys([Fraction(-2, 3), Fraction(1)], QQ) == []
+
+
+def test_quadratic_minimal_polynomial_splits():
+    # x^2 - 1 = (x - 1)(x + 1): h_a is 1 at one root and 0 at the other
+    for f in (F101, QQ):
+        hs = _coprime_idempotent_polys([f.of_int(-1), f.zero(), f.one()], f)
+        assert len(hs) == 2
+
+        def at(h, x):
+            acc = f.zero()
+            for c in reversed(h):
+                acc = f.add(f.mul(acc, f.of_int(x)), c)
+            return acc
+        values = sorted((at(h, 1), at(h, -1)) for h in hs)
+        assert values == sorted([(f.zero(), f.one()), (f.one(), f.zero())])
 
 
 def test_group_algebra_s3_rational():
