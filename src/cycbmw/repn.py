@@ -360,11 +360,6 @@ def _span_of(S: StructureAlgebra, rows) -> EchelonSpan:
     return span
 
 
-def _right_ideal_dim(S: StructureAlgebra, e: Dict[int, object]) -> int:
-    """dim e*S, spanned by the rows e * b_i of L_e."""
-    return _span_of(S, S.left_matrix(e)).dim
-
-
 def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
                          corner: np.ndarray, seed: int = DEFAULT_SEED,
                          tries: int = 60) -> Optional[Tuple[Dict[int, object], int]]:
@@ -432,6 +427,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     cen = center(S)
     idems = central_primitive_idempotents(S, cen)
     infos = []
+    ideals = []      # per block, the span of e*S (None without a primitive e)
     caveats = []
     for eps in idems:
         sandwich = _sandwich_rows(S, eps)
@@ -442,9 +438,12 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
         info = BlockInfo(dim=bdim, center_degree=kdeg, matrix_size=None,
                          division_dim=None)
         found = primitive_idempotent(S, eps, corner, seed=seed)
+        ideal = None
         if found is not None:
             e, ddim = found
-            rdim = _right_ideal_dim(S, e)
+            # e*S is spanned by the rows e * b_i of L_e
+            ideal = _span_of(S, S.left_matrix(e))
+            rdim = ideal.dim
             info.idempotent = e
             info.division_dim = ddim
             info.matrix_size = rdim // ddim
@@ -468,6 +467,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
         if f.kind == PRIME_FIELD and info.split and info.center_degree != 1:
             raise AnalysisError("split block with nontrivial center degree")
         infos.append(info)
+        ideals.append(ideal)
     blocks = [info.matrix_size if info.matrix_size is not None else info.dim
               for info in infos]
     split = all(info.split for info in infos)
@@ -476,6 +476,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     if split and sum(d * d for d in rep.blocks) != A.dim - len(rad_rows):
         raise AnalysisError("split block dims do not sum to dim A - dim rad")
     rep._quotient = quot
+    rep._right_ideals = ideals
     rep._central_idempotents = idems
     return rep
 
@@ -521,17 +522,16 @@ class ModuleRep:
 
 def simple_modules(A: StructureAlgebra, report: WedderburnReport) -> List[ModuleRep]:
     """One simple right module per block, as e*(A/rad) for the block's
-    primitive idempotent; requires every block to carry one."""
+    primitive idempotent (the span `wedderburn` built for its dimension);
+    requires every block to carry one."""
     quot = report._quotient
-    S = quot.S
     out = []
-    for info in report.block_info:
+    for info, ideal in zip(report.block_info, report._right_ideals):
         if info.idempotent is None:
             raise AnalysisError(
                 "no primitive idempotent available for a block; "
                 "simple modules cannot be materialized")
-        rows = _span_of(S, S.left_matrix(info.idempotent)).row_lists()
-        out.append(ModuleRep(quot, rows))
+        out.append(ModuleRep(quot, ideal.row_lists()))
     return out
 
 

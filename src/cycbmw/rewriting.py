@@ -13,11 +13,16 @@ reduced (no left-hand side contains another as a factor).  On success a
 final verification pass re-checks every overlap of the finished system,
 so the diamond lemma applies unconditionally: the irreducible words form
 an exact basis of the quotient.
+
+Redexes are found by one compiled `re` alternation over all left-hand
+sides (deglex order, so the first match is leftmost, then shortest); it is
+rebuilt lazily on the first search after a rule is added or removed.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 from collections import deque
 
 from .fields import Field
@@ -45,29 +50,29 @@ class RewriteSystem:
     def __init__(self, field: Field):
         self.field = field
         self.rules: dict[bytes, dict[bytes, object]] = {}
-        self._by_first: dict[int, list[bytes]] = {}
+        self._matcher = None     # compiled on demand, dropped on every rule event
 
     def add_rule(self, lhs: bytes, rhs: dict):
         self.rules[lhs] = rhs
-        bucket = self._by_first.setdefault(lhs[0], [])
-        bucket.append(lhs)
-        bucket.sort(key=deglex_key)
+        self._matcher = None
 
     def remove_rule(self, lhs: bytes):
         del self.rules[lhs]
-        self._by_first[lhs[0]].remove(lhs)
+        self._matcher = None
 
     def find_redex(self, w: bytes):
-        """Leftmost (then shortest) match: (position, lhs) or None."""
-        by_first = self._by_first
-        for pos in range(len(w)):
-            bucket = by_first.get(w[pos])
-            if not bucket:
-                continue
-            for lhs in bucket:
-                if w.startswith(lhs, pos):
-                    return pos, lhs
-        return None
+        """Leftmost (then shortest) match: (position, lhs) or None.
+
+        One `re` alternation of every lhs in deglex order: `re` tries
+        positions left to right and alternatives in order, so its first
+        match is the leftmost, then shortest, lhs.  It is recompiled on the
+        first search after a rule event; `(?!)` (no rules) never matches.
+        """
+        if self._matcher is None:
+            alts = b"|".join(re.escape(lhs) for lhs in sorted(self.rules, key=deglex_key))
+            self._matcher = re.compile(alts or b"(?!)")
+        m = self._matcher.search(w)
+        return None if m is None else (m.start(), m.group())
 
     def reduce(self, elem: dict) -> dict:
         """Full normal form of a sparse element.
@@ -254,11 +259,11 @@ def enumerate_irreducible_words(rs: RewriteSystem, alphabet_size: int,
 
     Grows words degree by degree; a word is irreducible iff it contains no
     rule lhs, and every factor of an irreducible word is irreducible, so
-    extending the previous level by one letter and checking suffixes is
-    complete.  An empty level ends the search early.  When irreducible
-    words still exist at the cap, the quotient is not known to be
-    finite-dimensional: strict mode raises (never a silent truncation),
-    non-strict mode returns the truncated set.
+    extending the previous level by one letter (a redex can only end at
+    it) and searching for a redex is complete.  An empty level ends the
+    search early.  When irreducible words still exist at the cap, the
+    quotient is not known to be finite-dimensional: strict mode raises
+    (never a silent truncation), non-strict mode returns the truncated set.
     """
     words = [EMPTY]
     level = [EMPTY]
@@ -267,13 +272,8 @@ def enumerate_irreducible_words(rs: RewriteSystem, alphabet_size: int,
         for w in level:
             for g in range(alphabet_size):
                 cand = w + bytes((g,))
-                # the new letter must complete no lhs
-                ok = True
-                for lhs in rs.rules:
-                    if len(lhs) <= len(cand) and cand.endswith(lhs):
-                        ok = False
-                        break
-                if ok:
+                # w is irreducible, so any redex of cand ends at the new letter
+                if rs.find_redex(cand) is None:
                     nxt.append(cand)
         level = nxt
         words.extend(level)

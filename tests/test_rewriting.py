@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
+from test_fields import DETERMINISTIC
 
 from cycbmw.fields import GF, QQ
 from cycbmw.rewriting import (CompletionError, RewriteSystem, complete,
@@ -104,3 +107,141 @@ def test_completion_certificate_runs():
     words = enumerate_irreducible_words(rs, 2, 8)
     assert len(words) == 6
     assert stats.verification_ambiguities > 0
+
+
+# -- redex search against a brute-force scan ----------------------------------------
+
+def _brute_redex(rules, w):
+    """Every position left to right, and at each every lhs in deglex order."""
+    ordered = sorted(rules, key=deglex_key)
+    for pos in range(len(w)):
+        for lhs in ordered:
+            if w.startswith(lhs, pos):
+                return pos, lhs
+    return None
+
+
+# regex metacharacters, NUL and 0xff, plus two plain letters
+_META_ALPHABET = b".*|(\\\n\x00\xffab"
+
+
+def _random_word(rng, alphabet, lo, hi):
+    return bytes(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+
+def _random_lhs_set(rng, alphabet):
+    """Random lhs words, not reduced: some are prefixes (and factors) of others."""
+    lhss = {_random_word(rng, alphabet, 1, 4) for _ in range(rng.randint(1, 8))}
+    for lhs in list(lhss):
+        if rng.random() < 0.5:
+            lhss.add(lhs + _random_word(rng, alphabet, 1, 3))
+        if rng.random() < 0.25:
+            lhss.add(_random_word(rng, alphabet, 1, 2) + lhs)
+    return lhss
+
+
+def _probe_words(rng, alphabet, lhss):
+    words = [_random_word(rng, alphabet, 0, 12) for _ in range(20)]
+    # words that certainly contain each lhs, somewhere inside
+    words += [_random_word(rng, alphabet, 0, 3) + lhs + _random_word(rng, alphabet, 0, 3)
+              for lhs in lhss]
+    return words
+
+
+def _assert_redexes_match(rs, words):
+    for w in words:
+        assert rs.find_redex(w) == _brute_redex(rs.rules, w), (sorted(rs.rules), w)
+
+
+@pytest.mark.parametrize("alphabet", [_META_ALPHABET, bytes(range(256)), b"\x00\x01"],
+                         ids=["metachars", "all-bytes", "binary"])
+def test_find_redex_matches_brute_force(alphabet):
+    rng = random.Random(len(alphabet))
+    for _ in range(150):
+        lhss = _random_lhs_set(rng, alphabet)
+        rs = RewriteSystem(GF(101))
+        for lhs in lhss:
+            rs.add_rule(lhs, {})
+        _assert_redexes_match(rs, _probe_words(rng, alphabet, lhss))
+
+
+def test_find_redex_empty_rule_set_never_matches():
+    rs = RewriteSystem(QQ)
+    for w in (b"", b"\x00", b"(?!)", bytes(range(256))):
+        assert rs.find_redex(w) is None
+    rs.add_rule(b"a", {})
+    assert rs.find_redex(b"ba") == (1, b"a")
+    rs.remove_rule(b"a")
+    for w in (b"", b"a", b"ba"):
+        assert rs.find_redex(w) is None
+
+
+def test_find_redex_follows_rule_events():
+    # a stale matcher would still find removed rules or miss added ones
+    rng = random.Random(7)
+    alphabet = _META_ALPHABET
+    rs = RewriteSystem(GF(101))
+    pool = sorted(_random_lhs_set(rng, alphabet) | _random_lhs_set(rng, alphabet))
+    for _ in range(300):
+        lhs = rng.choice(pool)
+        if lhs in rs.rules:
+            rs.remove_rule(lhs)
+        else:
+            rs.add_rule(lhs, {})
+        _assert_redexes_match(rs, _probe_words(rng, alphabet, pool))
+
+
+# -- normal forms on random rewrite systems -----------------------------------------
+
+def _words(letters, max_len):
+    return st.lists(st.integers(0, letters - 1), max_size=max_len).map(bytes)
+
+
+def _coeffs(field):
+    if field == QQ:
+        return st.fractions(-9, 9, max_denominator=9).filter(bool)
+    return st.integers(1, field.p - 1)
+
+
+def _elements(field, letters, max_len, max_terms):
+    return st.dictionaries(_words(letters, max_len), _coeffs(field),
+                           min_size=1, max_size=max_terms)
+
+
+def _lincomb(field, a, x, b, y):
+    """a*x + b*y on sparse elements, dropping zero coefficients."""
+    out = {}
+    for c, el in ((a, x), (b, y)):
+        for w, v in el.items():
+            s = field.add(out.get(w, field.zero()), field.mul(c, v))
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF(101)", "Q"])
+@DETERMINISTIC
+@given(data=st.data())
+def test_random_system_normal_forms(field, data):
+    letters = data.draw(st.integers(1, 2))
+    eqs = data.draw(st.lists(_elements(field, letters, 3, 3), min_size=1, max_size=3))
+    try:
+        rs, _ = complete(eqs, field, degree_cap=6, max_rule_events=500)
+    except CompletionError:
+        return
+    # reduce is idempotent, lands on irreducible words, and is linear
+    x, y = (data.draw(_elements(field, letters, 6, 4)) for _ in range(2))
+    a, b = (data.draw(_coeffs(field)) for _ in range(2))
+    nx, ny = rs.reduce(x), rs.reduce(y)
+    assert rs.reduce(nx) == nx
+    assert all(rs.find_redex(w) is None for w in nx)
+    assert rs.reduce(_lincomb(field, a, x, b, y)) == _lincomb(field, a, nx, b, ny)
+    # the irreducible words are exactly the words with no lhs as a factor
+    cap = 5
+    brute = [bytes(w) for n in range(cap + 1)
+             for w in itertools.product(range(letters), repeat=n)
+             if not any(lhs in bytes(w) for lhs in rs.rules)]
+    assert enumerate_irreducible_words(rs, letters, cap, strict=False) == \
+        sorted(brute, key=deglex_key)
