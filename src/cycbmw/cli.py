@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from .fields import Field
 from .params import ParameterSet, alpha_candidates, parse_parameter_file
-from .presentation import (build_algebra, dump_algebra, load_algebra,
+from .presentation import (build_algebra, dumps_algebra, load_algebra,
                            semi_admissibility_degree)
 from .repn import DEFAULT_SEED, AnalysisError, radical, wedderburn
 from .rewriting import CompletionError
@@ -120,8 +120,7 @@ def cmd_build(args) -> int:
                       degree_cap=args.degree_cap)
     report = dict(A.meta)
     if args.out:
-        blob = dump_algebra(A)
-        _emit(json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        _emit(dumps_algebra(A), args.out)
         report["dump"] = args.out
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
@@ -245,7 +244,6 @@ def make_parser() -> _Parser:
     a.add_argument("dump", help="algebra dump file from `build --out`")
     a.add_argument("--strict", action="store_true",
                    help="exit 1 when the quotient does not split")
-    a.add_argument("--format", choices=("json",), default="json")
     a.add_argument("--out")
     a.add_argument("--seed", type=int, default=DEFAULT_SEED)
     a.set_defaults(fn=cmd_analyze)

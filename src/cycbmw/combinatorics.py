@@ -173,6 +173,10 @@ def enumerate_index_poset(r: int, n: int, mode: str = "full",
 
 # -- multicharges and the Kleshchev recursion -------------------------------------
 
+# |s| bound of the discrete-log search for s_j when e is infinite
+_CHARGE_SEARCH_BOUND = 64
+
+
 @dataclass(frozen=True)
 class Multicharge:
     e: Optional[int]                 # None = infinite quantum characteristic
@@ -194,7 +198,7 @@ class Multicharge:
         return res % self.e if self.e is not None else res
 
     @staticmethod
-    def from_parameters(p: ParameterSet, search_bound: int = 64) -> "Multicharge":
+    def from_parameters(p: ParameterSet) -> "Multicharge":
         """Discrete logs s_j with u_j = q^{2 s_j}; rejects anything else."""
         q2 = p.q * p.q
         charges = []
@@ -208,7 +212,7 @@ class Multicharge:
                         break
                     acc = acc * q2
             else:
-                for s in range(-search_bound, search_bound + 1):
+                for s in range(-_CHARGE_SEARCH_BOUND, _CHARGE_SEARCH_BOUND + 1):
                     if q2**s == uj:
                         found = s
                         break

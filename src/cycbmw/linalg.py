@@ -71,13 +71,16 @@ def _scalar(x):
 
 
 class EchelonSpan:
-    """Growable row space kept in reduced echelon form."""
+    """Growable row space kept in reduced echelon form, holding `rows`
+    inserted in order."""
 
-    def __init__(self, field: Field, ncols: int):
+    def __init__(self, field: Field, ncols: int, rows=()):
         self.field = field
         self.ncols = ncols
         self.rows: List[np.ndarray] = []     # RREF rows, sorted by pivot
         self.pivots: list[int] = []
+        for row in rows:
+            self.insert(row)
 
     @property
     def dim(self) -> int:
@@ -134,31 +137,29 @@ class RowBasis:
         self.n = len(rows[0]) if len(rows) else 0
         self.k = len(rows)
         m = field.p
-        self._span = EchelonSpan(field, self.n + self.k)
+        aug = []
         if self.k:
             aug = np.hstack([as_array(rows, m), zeros((self.k, self.k), m)])
             aug[np.arange(self.k), self.n + np.arange(self.k)] = field.one()
-            for row in aug:
-                self._span.insert(row)
+        self._span = EchelonSpan(field, self.n + self.k, aug)
         if any(pc >= self.n for pc in self._span.pivots):
             raise ValueError("RowBasis rows are linearly dependent")
 
     def coords(self, v) -> Optional[list]:
         """x with sum_i x_i * rows[i] = v, or None when v is outside the span."""
         m = self.field.p
-        r = self._span.reduce(np.concatenate([as_array(v, m), zeros(self.k, m)]))
-        if np.count_nonzero(r[:self.n]):
+        v = as_array(v, m)
+        r = self._span.reduce(np.concatenate([v, zeros(self.k, m)]))
+        if np.count_nonzero(r[:len(v)]):
             return None
-        return reduce_mod(-r[self.n:], m).tolist()
+        return reduce_mod(-r[len(v):], m).tolist()
 
 
 def rref(rows, field: Field):
     """(reduced nonzero rows, pivot columns); input is not modified."""
     if not len(rows):
         return [], []
-    span = EchelonSpan(field, len(rows[0]))
-    for r in rows:
-        span.insert(r)
+    span = EchelonSpan(field, len(rows[0]), rows)
     return span.row_lists(), list(span.pivots)
 
 

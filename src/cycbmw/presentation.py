@@ -14,6 +14,7 @@ e_1 < ... < e_{n-1} < g_1 < ... < g_{n-1} < x_1.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +24,7 @@ from .fields import Field, FieldElement
 from .linalg import (EchelonSpan, RowBasis, as_array, matmul_mod, reduce_mod,
                      scatter_add, zeros)
 from .params import ParameterSet, omega
-from .rewriting import (CompletionError, RewriteSystem, complete, deglex_key,
+from .rewriting import (CompletionError, RewriteSystem, complete,
                         enumerate_irreducible_words)
 
 
@@ -104,7 +105,6 @@ def parse_word(s: str, n: int) -> bytes:
 
 def _x_power_reduction(p: ParameterSet):
     """x^r = sum_{k<r} (-1)^(r-k-1) sigma_{r-k} x^k as a coefficient list."""
-    f = p.field
     r = p.r
     coeffs = []
     for k in range(r):
@@ -115,7 +115,6 @@ def _x_power_reduction(p: ParameterSet):
 
 def x_inverse_coeffs(p: ParameterSet):
     """x^{-1} = sum_k c_k x^k with c_k = (-1)^k sigma_{r-1-k} / sigma_r."""
-    f = p.field
     r = p.r
     sig_r_inv = p.sigma[r].inv()
     out = []
@@ -240,9 +239,9 @@ class StructureAlgebra:
     """Finite-dimensional algebra with an explicit basis and exact products.
 
     Two births: from a completed rewriting system (basis = irreducible
-    words) or from an explicit multiplication table (quotients, corners,
-    blocks).  Products are memoized; for dim <= 512 the full table is
-    materialized at construction.
+    words) or from a complete multiplication table (quotients, and through
+    `from_rows` corners and the center algebra).  A word-born table starts
+    empty: `product(i, j)` fills one entry, `materialize()` all of them.
 
     A word-born algebra never reduces a concatenation b_i b_j.  Its basis
     is prefix-closed (every factor of an irreducible word is irreducible),
@@ -260,10 +259,8 @@ class StructureAlgebra:
     over the constants whose coefficients are nonzero, over every field.
     """
 
-    MATERIALIZE_LIMIT = 512
-
     def __init__(self, field: Field, dim: int, unit_coords: Dict[int, object],
-                 labels: List[str], mul_provider, gens: Optional[Dict[str, dict]] = None,
+                 labels: List[str], mul_provider=None, gens: Optional[Dict[str, dict]] = None,
                  meta: Optional[dict] = None):
         self.field = field
         self.dim = dim
@@ -322,18 +319,40 @@ class StructureAlgebra:
             red = rules.reduce_word(bytes((gid,)))
             gens[gen_name(gid, n)] = {index[w]: c for w, c in red.items()}
         alg.gens = gens
-        if alg.dim <= cls.MATERIALIZE_LIMIT:
-            alg.materialize()
         return alg
 
     @classmethod
     def from_table(cls, field: Field, table: Dict[Tuple[int, int], tuple], dim: int,
                    unit_coords: Dict[int, object], labels: Optional[List[str]] = None,
                    gens: Optional[Dict[str, dict]] = None, meta: Optional[dict] = None):
+        if len(table) != dim * dim:
+            raise BuildError("product table is incomplete")
         alg = cls(field, dim, unit_coords, labels or [f"b{i}" for i in range(dim)],
-                  lambda i, j: table[(i, j)], gens=gens, meta=meta)
+                  gens=gens, meta=meta)
         alg._table = dict(table)
         return alg
+
+    @classmethod
+    def from_rows(cls, A: "StructureAlgebra", rows: List[list], unit: Dict[int, object],
+                  labels: Optional[List[str]] = None):
+        """The subalgebra of A spanned by the independent dense `rows`, with
+        unit `unit` (an element of A).  Row a of rows R_{rows[b]} is
+        rows[a] rows[b]; a product or unit outside the span raises."""
+        m = A.field.p
+        basis, R = RowBasis(rows, A.field), as_array(rows, m)
+
+        def coords(vec) -> tuple:
+            x = basis.coords(vec)
+            if x is None:
+                raise BuildError("rows do not span a subalgebra")
+            return tuple((k, c) for k, c in enumerate(x) if c)
+
+        table = {}
+        for b, row in enumerate(rows):
+            for a, prod in enumerate(matmul_mod(R, A.right_matrix(A.sparse(row)), m)):
+                table[(a, b)] = coords(prod)
+        return cls.from_table(A.field, table, len(rows), dict(coords(A.dense(unit))),
+                              labels=labels, meta={"parent_dim": A.dim, "parent_rows": rows})
 
     def materialize(self):
         for i in range(self.dim):
@@ -408,6 +427,10 @@ class StructureAlgebra:
     def unit(self) -> Dict[int, object]:
         return dict(self.unit_coords)
 
+    def multipliers(self) -> List[Dict[int, object]]:
+        """The generators, or every basis element when none are known."""
+        return list(self.gens.values()) or [{i: self.field.one()} for i in range(self.dim)]
+
     def dense(self, coords: Dict[int, object]) -> np.ndarray:
         """Coordinates as a vector in the field's array dtype."""
         v = zeros(self.dim, self.field.p)
@@ -455,17 +478,12 @@ class StructureAlgebra:
 def expected_dimension(p: ParameterSet, n: int, variant: str,
                        d: Optional[int] = None):
     """(value, rule-name) per the applicable dimension theorem, or (None, None)."""
+    fact = math.factorial(n)
     if variant == "ariki_koike":
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
         return p.r**n * fact, "cyclotomic-hecke-rank"
     if p.admissible:
         return p.r**n * double_factorial_odd(n), "admissible-rank"
     if d is not None:
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
         return (d**n * double_factorial_odd(n) + p.r**n * fact - d**n * fact,
                 "semi-admissible-rank")
     return None, None
@@ -609,14 +627,11 @@ def semi_admissibility_degree(p: ParameterSet, degree_cap: Optional[int] = None,
 
 def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
     """(dimension, echelon row basis) of the two-sided ideal A x A."""
-    f = A.field
-    span = EchelonSpan(f, A.dim)
     if not any(x.values()):
         return 0, []
-    multipliers = list(A.gens.values()) if A.gens else [
-        {i: f.one()} for i in range(A.dim)]
+    multipliers = A.multipliers()
+    span = EchelonSpan(A.field, A.dim, [A.dense(x)])
     frontier = [dict(x)]
-    span.insert(A.dense(x))
     while frontier:
         nxt = []
         for v in frontier:
@@ -658,27 +673,12 @@ def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, obj
 
 def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebra:
     """The corner eAe with unit e, as a structure-constants algebra."""
-    f = A.field
     if A.mul(e, e) != e:
         raise BuildError("corner requires an idempotent")
-    span = EchelonSpan(f, A.dim)
     # row k of L_e R_e is e b_k e
-    for row in matmul_mod(A.left_matrix(e), A.right_matrix(e), f.p):
-        span.insert(row)
-    rows = span.row_lists()
-    basis = RowBasis(rows, f)
-    dim = len(rows)
-    sparse_rows = [A.sparse(row) for row in rows]
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            coords = basis.coords(A.dense(A.mul(sparse_rows[i], sparse_rows[j])))
-            table[(i, j)] = tuple((k, c) for k, c in enumerate(coords) if c)
-    unit = basis.coords(A.dense(e))
-    meta = {"parent_dim": A.dim, "parent_rows": rows}
-    return StructureAlgebra.from_table(
-        f, table, dim, {k: c for k, c in enumerate(unit) if c},
-        labels=[f"c{i}" for i in range(dim)], meta=meta)
+    sandwich = matmul_mod(A.left_matrix(e), A.right_matrix(e), A.field.p)
+    rows = EchelonSpan(A.field, A.dim, sandwich).row_lists()
+    return StructureAlgebra.from_rows(A, rows, e, labels=[f"c{i}" for i in range(len(rows))])
 
 
 # -- canonical JSON dump ---------------------------------------------------------
@@ -732,18 +732,14 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         for i, j, entries in blob["products"]:
             table[(int(i), int(j))] = tuple(
                 (int(k), field.parse(c)) for k, c in entries)
-        if len(table) != dim * dim:
-            raise BuildError("product table is incomplete")
         unit = {labels.index("1"): field.one()}
+        gens = {lab: {i: field.one()} for i, lab in enumerate(labels)
+                if "." not in lab and lab != "1"}
+        alg = StructureAlgebra.from_table(field, table, dim, unit, labels=labels,
+                                          gens=gens,
+                                          meta={"n": n, "variant": blob.get("variant")})
     except (KeyError, TypeError, ValueError) as exc:
         raise BuildError(f"corrupted algebra dump: {exc}") from exc
-    gens = {}
-    for i, lab in enumerate(labels):
-        if "." not in lab and lab != "1":
-            gens[lab] = {i: field.one()}
-    alg = StructureAlgebra.from_table(field, table, dim, unit, labels=labels,
-                                      gens=gens,
-                                      meta={"n": n, "variant": blob.get("variant")})
     alg.params = p
     alg.n = n
     alg.variant = blob.get("variant")

@@ -28,6 +28,7 @@ from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_
 from .presentation import StructureAlgebra
 
 DEFAULT_SEED = 20260801
+_SPLIT_TRIES = 60     # seeded random corner elements per primitive-idempotent round
 
 
 class AnalysisError(RuntimeError):
@@ -97,11 +98,8 @@ def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
     if not basis:
         return
     f = A.field
-    span = EchelonSpan(f, A.dim)
-    for v in basis:
-        span.insert(v)
-    multipliers = list(A.gens.values()) if A.gens else [
-        {i: f.one()} for i in range(A.dim)]
+    span = EchelonSpan(f, A.dim, basis)
+    multipliers = A.multipliers()
     for v in basis:
         sv = A.sparse(v)
         for m in multipliers:
@@ -126,23 +124,21 @@ def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
 # -- semisimple quotient ---------------------------------------------------------
 
 class QuotientData:
-    """A/rad as a table algebra plus the projection map."""
+    """A/rad as a table algebra plus the projection map; S's basis element t
+    is the image of A's basis element complement[t]."""
 
     def __init__(self, S: StructureAlgebra, proj: Callable[[Dict[int, object]], Dict[int, object]],
-                 lift_rows: List[list]):
+                 complement: List[int]):
         self.S = S
         self.proj = proj
-        self.lift_rows = lift_rows
+        self.complement = complement
 
 
 def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientData:
     f = A.field
     if not rad_rows:
-        return QuotientData(A, lambda coords: dict(coords),
-                            [A.dense({i: f.one()}) for i in range(A.dim)])
-    span = EchelonSpan(f, A.dim)
-    for v in rad_rows:
-        span.insert(v)
+        return QuotientData(A, lambda coords: dict(coords), list(range(A.dim)))
+    span = EchelonSpan(f, A.dim, rad_rows)
     pivots = set(span.pivots)
     complement = [j for j in range(A.dim) if j not in pivots]
     pos = {j: t for t, j in enumerate(complement)}
@@ -162,8 +158,7 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientDa
     S = StructureAlgebra.from_table(f, table, dim, unit,
                                     labels=[A.labels[j] for j in complement],
                                     gens=gens, meta={"quotient_of": A.meta.get("n")})
-    lift = [A.dense({complement[t]: f.one()}) for t in range(dim)]
-    return QuotientData(S, project, lift)
+    return QuotientData(S, project, complement)
 
 
 # -- center and central idempotents -------------------------------------------------
@@ -172,10 +167,9 @@ def center(S: StructureAlgebra) -> List[list]:
     """Dense basis of the center, solved against the generators
     (or against every basis element when no generator set is known)."""
     f = S.field
-    gens = list(S.gens.values()) if S.gens else [{i: f.one()} for i in range(S.dim)]
     # z g - g z = 0: column j of R_g - L_g is the equation for coordinate j
     equations = np.vstack([reduce_mod(S.right_matrix(g) - S.left_matrix(g), f.p).T
-                           for g in gens])
+                           for g in S.multipliers()])
     return nullspace(equations, S.dim, f)
 
 
@@ -186,8 +180,7 @@ def _minimal_polynomial(S: StructureAlgebra, w: Dict[int, object],
     f = S.field
     Rw = S.right_matrix(w)
     cur = S.dense(unit)
-    span = EchelonSpan(f, S.dim)
-    span.insert(cur)
+    span = EchelonSpan(f, S.dim, [cur])
     powers = [cur]
     while True:
         cur = matmul_mod(cur, Rw, f.p)
@@ -258,28 +251,14 @@ def central_primitive_idempotents(S: StructureAlgebra,
     """Split the commutative semisimple center along minimal polynomials.
 
     The splitting runs inside the center algebra Z, of dimension
-    k = len(center_rows), with its table read off one right matrix per
-    center basis element; Z -> S, x -> x.center_rows, is an injective
-    algebra map, so minimal polynomials and idempotents are those of S."""
+    k = len(center_rows), built by `StructureAlgebra.from_rows`; Z -> S,
+    x -> x.center_rows, is an injective algebra map, so minimal
+    polynomials and idempotents are those of S."""
     f = S.field
     m = f.p
     if not center_rows:
         return []
-    Zm = as_array(center_rows, m)
-    basis = RowBasis(center_rows, f)
-
-    def z_coords(vec) -> Dict[int, object]:
-        coords = basis.coords(vec)
-        if coords is None:
-            raise AnalysisError("center is not closed under products")
-        return {a: c for a, c in enumerate(coords) if c}
-
-    table = {}
-    for b, z_row in enumerate(center_rows):
-        # row a of Zm R_{z_b} is z_a z_b
-        for a, prod in enumerate(matmul_mod(Zm, S.right_matrix(S.sparse(z_row)), m)):
-            table[(a, b)] = tuple(z_coords(prod).items())
-    Z = StructureAlgebra.from_table(f, table, len(center_rows), z_coords(S.dense(S.unit())))
+    Z = StructureAlgebra.from_rows(S, center_rows, S.unit())
     idems = [Z.unit()]
     for b in range(Z.dim):
         z = {b: f.one()}
@@ -296,6 +275,7 @@ def central_primitive_idempotents(S: StructureAlgebra,
                 if part:
                     nxt.append(part)
         idems = nxt
+    Zm = as_array(center_rows, m)
     out = [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
     for eps in out:
         if S.mul(eps, eps) != eps:
@@ -353,16 +333,9 @@ def _independent_rows(S: StructureAlgebra, rows) -> np.ndarray:
     return as_array([row for row in rows if span.insert(row)], S.field.p)
 
 
-def _span_of(S: StructureAlgebra, rows) -> EchelonSpan:
-    span = EchelonSpan(S.field, S.dim)
-    for row in rows:
-        span.insert(row)
-    return span
-
-
 def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
-                         corner: np.ndarray, seed: int = DEFAULT_SEED,
-                         tries: int = 60) -> Optional[Tuple[Dict[int, object], int]]:
+                         corner: np.ndarray,
+                         seed: int = DEFAULT_SEED) -> Optional[Tuple[Dict[int, object], int]]:
     """Refine eps to a primitive idempotent e of eps*S*eps and return
     (e, dim e*S*e); `corner` is a basis of eps*S*eps, the independent
     rows of `_sandwich_rows(S, eps)`.
@@ -386,7 +359,7 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
             # basis sweep first (cheap, catches the classical cases), then
             # seeded combinations, then the quadratic product sweep
             yield from corner_rows
-            for _ in range(tries):
+            for _ in range(_SPLIT_TRIES):
                 cs = [f.of_int(rng.randrange(m)) if f.kind == PRIME_FIELD
                       else f.of_int(rng.randrange(-9, 10)) for _ in corner_rows]
                 yield S.sparse(matmul_mod(as_array(cs, m), corner, m))
@@ -434,7 +407,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
         corner = _independent_rows(S, sandwich)
         bdim = len(corner)
         # row t of cen (L_eps R_eps) is eps z_t eps: the block's center
-        kdeg = _span_of(S, matmul_mod(as_array(cen, f.p), sandwich, f.p)).dim
+        kdeg = EchelonSpan(f, S.dim, matmul_mod(as_array(cen, f.p), sandwich, f.p)).dim
         info = BlockInfo(dim=bdim, center_degree=kdeg, matrix_size=None,
                          division_dim=None)
         found = primitive_idempotent(S, eps, corner, seed=seed)
@@ -442,7 +415,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
         if found is not None:
             e, ddim = found
             # e*S is spanned by the rows e * b_i of L_e
-            ideal = _span_of(S, S.left_matrix(e))
+            ideal = EchelonSpan(f, S.dim, S.left_matrix(e))
             rdim = ideal.dim
             info.idempotent = e
             info.division_dim = ddim
@@ -538,11 +511,7 @@ def simple_modules(A: StructureAlgebra, report: WedderburnReport) -> List[Module
 def truncate_module(M: ModuleRep, e_coords_A: Dict[int, object],
                     corner: StructureAlgebra) -> "CornerModule":
     """The image M e with the corner algebra acting on it."""
-    T = M.action_matrix(e_coords_A)
-    f = M.field
-    span = EchelonSpan(f, M.dim)
-    for row in T:
-        span.insert(row)
+    span = EchelonSpan(M.field, M.dim, M.action_matrix(e_coords_A))
     return CornerModule(corner, span.row_lists(), M)
 
 
@@ -601,8 +570,8 @@ def _corner_module_is_simple(T: CornerModule, crep: WedderburnReport,
     that block's matrix size (valid for split blocks)."""
     hits = []
     for info, eps in zip(crep.block_info, crep._central_idempotents):
-        # lift eps back to corner coordinates through the quotient rows
-        eps_corner = _lift_from_quotient(T.corner, cquot, eps)
+        # lift eps back to corner coordinates: S's basis is part of the corner's
+        eps_corner = {cquot.complement[t]: c for t, c in eps.items()}
         mat = _corner_action(T, eps_corner)
         if any(any(c for c in row) for row in mat):
             hits.append(info)
@@ -610,12 +579,6 @@ def _corner_module_is_simple(T: CornerModule, crep: WedderburnReport,
         return False
     info = hits[0]
     return info.split and T.dim == info.matrix_size
-
-
-def _lift_from_quotient(corner: StructureAlgebra, cquot: QuotientData,
-                        eps: Dict[int, object]) -> Dict[int, object]:
-    m = corner.field.p
-    return corner.sparse(matmul_mod(cquot.S.dense(eps), as_array(cquot.lift_rows, m), m))
 
 
 def _corner_action(T: CornerModule, corner_coords: Dict[int, object]) -> List[list]:

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from cycbmw.cli import main
+from cycbmw.cli import _parameters_from_args, main, make_parser
+from cycbmw.presentation import build_algebra, dumps_algebra
 
 GENERIC = ["--field", "gfp:101", "--q", "2", "--u", "4", "--admissible"]
 
@@ -16,7 +17,8 @@ def run(capsys, *argv):
 
 def test_build_report_and_dump(tmp_path, capsys):
     dump = tmp_path / "b12.json"
-    code, out, err = run(capsys, "build", "--n", "2", *GENERIC, "--out", str(dump))
+    argv = ["build", "--n", "2", *GENERIC]
+    code, out, err = run(capsys, *argv, "--out", str(dump))
     assert code == 0
     report = json.loads(out)
     assert report["dimension"] == 3
@@ -24,6 +26,8 @@ def test_build_report_and_dump(tmp_path, capsys):
     assert report["relation13_orientation"] == "x1"
     blob = json.loads(dump.read_text())
     assert blob["basis"] == ["1", "e1", "g1"]
+    A = build_algebra(2, _parameters_from_args(make_parser().parse_args(argv)))
+    assert dump.read_bytes() == dumps_algebra(A).encode()
 
 
 def test_build_malformed_u(capsys):
@@ -169,11 +173,12 @@ def test_unknown_flag_is_validation_error(capsys):
     ("classify", "--mode", "affine", "--n", "2", "--e", "2", "--jobs", "2"),
     ("classify", "--mode", "affine", "--n", "2", "--e", "2", "--seed", "5"),
     ("analyze", "unused.json", "--jobs", "2"),
+    ("analyze", "unused.json", "--format", "json"),
     ("semiadmissible", *GENERIC, "--jobs", "2"),
     ("semiadmissible", *GENERIC, "--seed", "5"),
     ("verify", "--only", "combinatorics", "--jobs", "2"),
 ], ids=["build-jobs", "build-seed", "classify-jobs", "classify-seed", "analyze-jobs",
-        "semiadmissible-jobs", "semiadmissible-seed", "verify-jobs"])
+        "analyze-format", "semiadmissible-jobs", "semiadmissible-seed", "verify-jobs"])
 def test_removed_flags_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

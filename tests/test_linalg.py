@@ -7,7 +7,7 @@ from sympy import GF as SymGF, QQ as SymQQ
 from sympy.polys.matrices import DomainMatrix
 
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import RowBasis, dtype_for, matmul, nullspace, rank, rref
+from cycbmw.linalg import EchelonSpan, RowBasis, dtype_for, matmul, nullspace, rank, rref
 
 
 def test_matmul_no_int64_overflow_near_2_31():
@@ -90,6 +90,12 @@ def test_rref_rank_nullspace_match_sympy(field):
         red, piv = S.rref()
         want_rows = [row for row in _from_sympy(red, field) if any(row)]
         assert rref(M, field) == (want_rows, list(piv))
+        one_by_one = EchelonSpan(field, ncols)
+        for row in M:
+            one_by_one.insert(row)
+        at_once = EchelonSpan(field, ncols, M)
+        assert (at_once.row_lists(), at_once.pivots) == (one_by_one.row_lists(),
+                                                         one_by_one.pivots)
         assert rank(M, field) == S.rank() == len(want_rows)
         if field == QQ:           # never an int, whose inverse would be a float
             assert all(type(c) is Fraction for row in want_rows for c in row)
@@ -145,3 +151,7 @@ def test_rowbasis_coords_match_sympy(field):
     dependent = _random_matrix(rng, field, 4, 6, rank_at_most=2)
     with pytest.raises(ValueError):
         RowBasis(dependent, field)
+    # no rows span only the zero vector
+    empty = RowBasis([], field)
+    assert empty.coords([field.zero()] * 3) == []
+    assert empty.coords([field.zero(), field.one(), field.zero()]) is None

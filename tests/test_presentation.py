@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cycbmw.fields import GF, QQ
+from cycbmw.linalg import RowBasis
 from cycbmw.params import ParameterSet, omega
 from cycbmw.presentation import (BuildError, E, G, X, StructureAlgebra, build_algebra,
                                  canonical_relations, check_omega_relations,
@@ -25,6 +26,11 @@ def generic(r, sep=4):
     alpha = F(1) if r % 2 else Q2.inv()
     rho = (alpha * prod).inv()
     return ParameterSet(F, Q2, rho, u, admissible=True)
+
+
+def omega_zero():
+    q = F(16)
+    return ParameterSet(F, q, q, [q.inv()], admissible=True)
 
 
 def semi_21():
@@ -202,8 +208,7 @@ def test_truncation_idempotent_branches(algebras):
     e = truncation_idempotent(A, p)
     assert A.mul(e, e) == e
     # omega_0 = 0 branch with compatible parameters
-    q = F(16)
-    p0 = ParameterSet(F, q, q, [q.inv()], admissible=True)
+    p0 = omega_zero()
     assert p0.omega0.is_zero()
     A0 = build_algebra(3, p0)
     e0 = truncation_idempotent(A0, p0)
@@ -224,6 +229,56 @@ def test_corner_dimensions(algebras):
     A = algebras[(1, 2)]
     C = corner_algebra(A, A.unit())
     assert C.dim == A.dim
+
+
+@pytest.mark.parametrize("case", ["b13", "b23", "omega0", "unit_b12"])
+def test_corner_table_matches_pairwise_products(algebras, case):
+    if case == "omega0":
+        A = build_algebra(3, omega_zero())
+        e = truncation_idempotent(A, A.params)
+    elif case == "unit_b12":
+        A = algebras[(1, 2)]
+        e = A.unit()
+    else:
+        A = algebras[(int(case[1]), int(case[2]))]
+        e = truncation_idempotent(A, A.params)
+    C = corner_algebra(A, e)
+    # the table the pairwise way: coordinates of each product of two rows
+    rows = C.meta["parent_rows"]
+    basis = RowBasis(rows, A.field)
+    sparse_rows = [A.sparse(row) for row in rows]
+    for i in range(C.dim):
+        for j in range(C.dim):
+            coords = basis.coords(A.dense(A.mul(sparse_rows[i], sparse_rows[j])))
+            assert C.product(i, j) == tuple((k, c) for k, c in enumerate(coords) if c)
+    unit = basis.coords(A.dense(e))
+    assert C.unit() == {k: c for k, c in enumerate(unit) if c}
+    assert C.labels == [f"c{i}" for i in range(C.dim)]
+
+
+def test_from_rows_rejects_rows_not_closed(algebras):
+    A = algebras[(1, 2)]
+    g1 = A.nf_word(bytes((G(1, 2),)))
+    with pytest.raises(BuildError):
+        StructureAlgebra.from_rows(A, [A.dense(g1).tolist()], A.unit())
+    # the unit too must lie in the span
+    e1 = A.nf_word(bytes((E(1, 2),)))
+    scale = A.params.omega0.inv().value
+    e = {i: A.field.mul(scale, c) for i, c in e1.items()}
+    with pytest.raises(BuildError):
+        StructureAlgebra.from_rows(A, [A.dense(e).tolist()], A.unit())
+    with pytest.raises(BuildError):
+        StructureAlgebra.from_rows(A, [], A.unit())
+    assert StructureAlgebra.from_rows(A, [A.dense(e).tolist()], e).dim == 1
+
+
+def test_from_table_rejects_incomplete_table():
+    one = F.one()
+    table = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
+    with pytest.raises(BuildError, match="incomplete"):
+        StructureAlgebra.from_table(F, table, 2, {0: one})
+    table[(1, 1)] = ()
+    assert StructureAlgebra.from_table(F, table, 2, {0: one}).dim == 2
 
 
 def test_corner_requires_idempotent(algebras):
@@ -260,14 +315,16 @@ TABLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["materialized", "lazy"])
+@pytest.mark.parametrize("materialize", [True, False], ids=["materialized", "lazy"])
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))
-def test_generator_action_table_is_concatenation_nf(case, lazy, monkeypatch):
-    if lazy:
-        monkeypatch.setattr(StructureAlgebra, "MATERIALIZE_LIMIT", 0)
+def test_generator_action_table_is_concatenation_nf(case, materialize):
     A = TABLE_CASES[case]()
-    assert not A._table if lazy else len(A._table) == A.dim ** 2
-    # descending, so the lazy path recurses into prefixes it has not seen
+    # nothing fills the table before it is read
+    assert not A._table
+    if materialize:
+        A.materialize()
+        assert len(A._table) == A.dim ** 2
+    # descending, so the on-demand path recurses into prefixes it has not seen
     for i in reversed(range(A.dim)):
         for j in reversed(range(A.dim)):
             assert A.product(i, j) == _concatenation_product(A, i, j), (i, j)
