@@ -489,7 +489,8 @@ def expected_dimension(p: ParameterSet, n: int, variant: str,
     return None, None
 
 
-_probe_cache: Dict[tuple, str] = {}
+# (parameters, variant) -> accepted probe (orientation, cap, rules, completion, words)
+_probe_cache: Dict[tuple, tuple] = {}
 
 
 def _params_key(p: ParameterSet) -> tuple:
@@ -506,11 +507,13 @@ def select_orientation13(p: ParameterSet, variant: str = "bmw") -> str:
     formula (when the flag is set), and the pole relations
     e_1 x_1^a e_1 = omega_a e_1 hold up to a = 2r.  Probes always run at
     the default degree cap: a starved user cap should fail the real build
-    as a resource error, not masquerade as an invalid orientation.
+    as a resource error, not masquerade as an invalid orientation.  The
+    accepted probe's completion is kept, and `build_algebra(2, ...)` at
+    that cap reuses it.
     """
     key = (_params_key(p), variant)
     if key in _probe_cache:
-        return _probe_cache[key]
+        return _probe_cache[key][0]
     last_error = None
     for cand in ("x1", "x1inv"):
         try:
@@ -528,7 +531,8 @@ def select_orientation13(p: ParameterSet, variant: str = "bmw") -> str:
             if not rep.passed:
                 last_error = f"{cand}: omega relations fail at {rep.failures}"
                 continue
-        _probe_cache[key] = cand
+        _probe_cache[key] = (cand, alg.meta["degree_cap"], alg.rules,
+                             alg.meta["completion"], alg.words)
         return cand
     raise BuildError(f"no relation-13 orientation validates: {last_error}")
 
@@ -542,9 +546,14 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
     cap = degree_cap if degree_cap is not None else default_degree_cap(n, p.r)
     if orientation13 is None:
         orientation13 = "x1" if n == 1 else select_orientation13(p, variant=variant)
-    eqs = canonical_relations(n, p, variant=variant, orientation13=orientation13)
-    rules, stats = complete(eqs, p.field, cap)
-    words = enumerate_irreducible_words(rules, gen_count(n), cap)
+    probe = _probe_cache.get((_params_key(p), variant)) if n == 2 else None
+    if probe is not None and probe[:2] == (orientation13, cap):
+        rules, completion, words = probe[2:]
+    else:
+        eqs = canonical_relations(n, p, variant=variant, orientation13=orientation13)
+        rules, stats = complete(eqs, p.field, cap)
+        completion = stats.as_dict()
+        words = enumerate_irreducible_words(rules, gen_count(n), cap)
     d = None
     if variant == "bmw" and not p.admissible and n >= 2:
         if n == 2:
@@ -564,7 +573,7 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
         "relation13_note": "y_1 in the printed right clause is undefined; "
                            f"resolved by validation to {orientation13!r}",
         "degree_cap": cap,
-        "completion": stats.as_dict(),
+        "completion": dict(completion),
     }
     return StructureAlgebra.from_rewriting(p.field, rules, words, n, p, variant, meta)
 

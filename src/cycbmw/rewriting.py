@@ -9,10 +9,15 @@ Completion is the Knuth-Bendix / Buchberger-Mora loop for two-sided
 ideals: orient equations into rules whose right-hand sides are strictly
 smaller, resolve all overlap ambiguities, interreduce, and repeat until
 stable.  Inclusion ambiguities never survive because the rule set is kept
-reduced (no left-hand side contains another as a factor).  On success a
-final verification pass re-checks every overlap of the finished system,
-so the diamond lemma applies unconditionally: the irreducible words form
-an exact basis of the quotient.
+reduced (no left-hand side contains another as a factor).  The main loop
+skips a composite overlap, one whose word has a redex strictly inside:
+only prime superpositions need be considered (Kapur, Musser & Narendran
+1988).  With reduced rules that redex straddles the junction, and the two
+smaller overlaps it forms were resolved first, because ambiguities are
+popped smallest word first.  On success a final verification pass
+re-checks every overlap of the finished system, skipped or not, so the
+diamond lemma applies unconditionally and never rests on the criterion:
+the irreducible words form an exact basis of the quotient.
 
 Redexes are found by one compiled `re` alternation over all left-hand
 sides (deglex order, so the first match is leftmost, then shortest); it is
@@ -124,11 +129,17 @@ def _overlaps(a: bytes, b: bytes):
             yield ov
 
 
+def _interior_redex(rs: RewriteSystem, w: bytes) -> bool:
+    """Whether the overlap word w has a redex strictly inside it."""
+    return rs.find_redex(w[1:-1]) is not None
+
+
 class CompletionStats:
     def __init__(self):
         self.rules_added = 0
         self.rules_removed = 0
         self.ambiguities_checked = 0
+        self.ambiguities_pruned = 0
         self.verification_ambiguities = 0
         self.max_rule_degree = 0
         self.passes = 0
@@ -138,6 +149,7 @@ class CompletionStats:
             "rules_added": self.rules_added,
             "rules_removed": self.rules_removed,
             "ambiguities_checked": self.ambiguities_checked,
+            "ambiguities_pruned": self.ambiguities_pruned,
             "verification_ambiguities": self.verification_ambiguities,
             "max_rule_degree": self.max_rule_degree,
             "passes": self.passes,
@@ -151,6 +163,11 @@ def complete(equations, field: Field, degree_cap: int,
     `equations` are sparse elements asserted to be 0.  Raises
     CompletionError when a rule would exceed `degree_cap` or the event
     budget runs out -- an explicit incompleteness report, never silence.
+
+    The main loop skips an ambiguity whose word has a redex strictly
+    inside: with reduced rules and a smallest-first heap, the two smaller
+    overlaps that redex forms were resolved first.  The verification pass
+    still checks every overlap and sends its failures back into the loop.
     """
     rs = RewriteSystem(field)
     stats = CompletionStats()
@@ -225,8 +242,11 @@ def complete(equations, field: Field, degree_cap: int,
             while pending:
                 orient(pending.popleft())
             if amb:
-                _, a, b, ov = heapq.heappop(amb)
+                (_, w), a, b, ov = heapq.heappop(amb)
                 if a not in rs.rules or b not in rs.rules:
+                    continue
+                if _interior_redex(rs, w):
+                    stats.ambiguities_pruned += 1
                     continue
                 stats.ambiguities_checked += 1
                 s = rs.reduce(s_element(a, b, ov))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cycbmw import presentation
 from cycbmw.fields import GF, QQ
 from cycbmw.linalg import RowBasis
 from cycbmw.params import ParameterSet, omega
@@ -12,7 +13,7 @@ from cycbmw.presentation import (BuildError, E, G, X, StructureAlgebra, build_al
                                  dumps_algebra, ideal_generated_by, load_algebra,
                                  select_orientation13, semi_admissibility_degree,
                                  truncation_idempotent, word_str)
-from cycbmw.rewriting import CompletionError
+from cycbmw.rewriting import CompletionError, complete
 
 F = GF(101)
 Q2 = F(2)
@@ -333,10 +334,42 @@ def test_generator_action_table_is_concatenation_nf(case, materialize):
 def test_frontier_b33_products():
     A = build_algebra(3, generic(3))
     assert A.dim == 405
+    # pruning composite overlaps moves only the main loop's checked count
+    stats = A.meta["completion"]
+    assert (stats["rules_added"], stats["rules_removed"], stats["verification_ambiguities"],
+            stats["passes"]) == (89, 19, 1311, 1)
+    assert stats["ambiguities_pruned"] > 0 and stats["ambiguities_checked"] < 1372
     rng = random.Random(33)
     for _ in range(200):
         i, j = rng.randrange(A.dim), rng.randrange(A.dim)
         assert A.product(i, j) == _concatenation_product(A, i, j), (i, j)
+
+
+def test_probe_completion_is_reused(monkeypatch):
+    monkeypatch.setattr(presentation, "_probe_cache", {})
+    caps = []
+
+    def counting_complete(eqs, field, degree_cap, **kw):
+        caps.append(degree_cap)
+        return complete(eqs, field, degree_cap, **kw)
+
+    monkeypatch.setattr(presentation, "complete", counting_complete)
+    p = generic(2)
+    A = build_algebra(2, p)
+    assert caps == [12]
+    A.materialize()
+    B = build_algebra(2, p)
+    assert caps == [12]
+    # a fresh algebra on the probe's rules: its own, still empty, table
+    assert B is not A and not B._table and B.meta == A.meta
+    assert all(B.product(i, j) == A.product(i, j) for i in range(B.dim) for j in range(B.dim))
+    # semi-admissible n = 3: the probe and the n = 3 system; the degree
+    # check reuses the probe
+    build_algebra(3, semi_21())
+    assert caps == [12, 12, 16]
+    # another cap is another completion
+    build_algebra(2, p, degree_cap=13)
+    assert caps == [12, 12, 16, 13]
 
 
 def test_load_rejects_corruption():

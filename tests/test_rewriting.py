@@ -1,11 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 from test_fields import DETERMINISTIC
 
+from cycbmw import rewriting
+from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
+from cycbmw.params import ParameterSet
+from cycbmw.presentation import (canonical_relations, default_degree_cap,
+                                 select_orientation13)
 from cycbmw.rewriting import (CompletionError, RewriteSystem, complete,
                               deglex_key, enumerate_irreducible_words)
 
@@ -107,6 +113,61 @@ def test_completion_certificate_runs():
     words = enumerate_irreducible_words(rs, 2, 8)
     assert len(words) == 6
     assert stats.verification_ambiguities > 0
+
+
+# -- composite overlaps: pruning against the unpruned main loop ----------------------
+
+def _never(rs, w):
+    """The unpruned main loop: every ambiguity is reduced."""
+    return False
+
+
+def _always(rs, w):
+    """Every main-loop ambiguity is skipped; only verification resolves pairs."""
+    return True
+
+
+def _presentation(n, p, variant="bmw"):
+    ori = select_orientation13(p, variant=variant)
+    eqs = canonical_relations(n, p, variant=variant, orientation13=ori)
+    return eqs, p.field, default_degree_cap(n, p.r)
+
+
+SYSTEMS = {
+    "s3": lambda: (_s3_equations(), QQ, 8),
+    "gf101_b22": lambda: _presentation(2, generic_parameters(2)),
+    "gf101_b13": lambda: _presentation(3, generic_parameters(1)),
+    "gf101_b14": lambda: _presentation(4, generic_parameters(1)),
+    "gf101_semi_b23": lambda: _presentation(3, semi_parameters()),
+    "gf101_ak_b23": lambda: _presentation(3, generic_parameters(2), "ariki_koike"),
+    "q_b13": lambda: _presentation(3, ParameterSet(QQ, 2, "1/3", [3], admissible=True)),
+}
+
+_UNMOVED = ("rules_added", "rules_removed", "verification_ambiguities",
+            "max_rule_degree", "passes")
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEMS))
+def test_pruning_keeps_rules_and_statistics(case, monkeypatch):
+    eqs, field, cap = SYSTEMS[case]()
+    rs, stats = complete(eqs, field, cap)
+    monkeypatch.setattr(rewriting, "_interior_redex", _never)
+    ref, ref_stats = complete(eqs, field, cap)
+    assert rs.rules == ref.rules
+    assert ref_stats.ambiguities_pruned == 0
+    for key in _UNMOVED:
+        assert getattr(stats, key) == getattr(ref_stats, key), key
+
+
+@pytest.mark.parametrize("case", ["gf101_b22", "gf101_b13"])
+def test_verification_pass_certifies_when_every_pair_is_skipped(case, monkeypatch):
+    eqs, field, cap = SYSTEMS[case]()
+    ref, _ = complete(eqs, field, cap)
+    monkeypatch.setattr(rewriting, "_interior_redex", _always)
+    rs, stats = complete(eqs, field, cap)
+    assert rs.rules == ref.rules
+    assert stats.ambiguities_checked == 0 and stats.ambiguities_pruned > 0
+    assert stats.passes > 1
 
 
 # -- redex search against a brute-force scan ----------------------------------------
@@ -231,6 +292,9 @@ def test_random_system_normal_forms(field, data):
         rs, _ = complete(eqs, field, degree_cap=6, max_rule_events=500)
     except CompletionError:
         return
+    with mock.patch.object(rewriting, "_interior_redex", _never):
+        ref, _ = complete(eqs, field, degree_cap=6, max_rule_events=500)
+    assert rs.rules == ref.rules
     # reduce is idempotent, lands on irreducible words, and is linear
     x, y = (data.draw(_elements(field, letters, 6, 4)) for _ in range(2))
     a, b = (data.draw(_coeffs(field)) for _ in range(2))
