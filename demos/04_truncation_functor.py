@@ -25,7 +25,7 @@ print("corner dim:", C.dim, "= dim of the n-2 algebra"
 
 rep = wedderburn(A, radical(A))
 print("blocks of B_{1,3}:", rep.block_dims_sorted())
-fr = functor_grading_check(A, C, simple_modules(A, rep), e)
+fr = functor_grading_check(C, simple_modules(A, rep), e)
 print(f"truncation kills {fr.annihilated} simples (the f = 0 layer)"
       f" and leaves {fr.surviving} survivor(s): {fr.survivors}")
 

@@ -217,7 +217,7 @@ def _crit_functor(ctx: Context) -> Tuple[bool, str]:
     C = corner_algebra(A, e)
     rep = ctx.analysis(1, 3)
     simples = simple_modules(A, rep)
-    fr = functor_grading_check(A, C, simples, e, seed=ctx.seed)
+    fr = functor_grading_check(C, simples, e, seed=ctx.seed)
     cls = classify_cyclotomic(p, Multicharge.from_parameters(p), 3)
     f0 = sum(1 for ent in cls if ent.f == 0)
     ok = (fr.annihilated == f0 == 3 and len(fr.survivors) == 1

@@ -117,9 +117,6 @@ class EchelonSpan:
         self.pivots.insert(idx, pc)
         return True
 
-    def contains(self, v) -> bool:
-        return not np.count_nonzero(self.reduce(v))
-
     def row_lists(self) -> List[list]:
         return [row.tolist() for row in self.rows]
 
@@ -127,32 +124,35 @@ class EchelonSpan:
 class RowBasis:
     """A fixed independent row list with exact coordinate solving.
 
-    The echelon form of the augmented rows [rows | I] has all its pivots in
-    the first n columns, and reducing [v | 0] by it leaves [v - x.rows | -x]
-    for some x; the left part is zero exactly when v = x.rows."""
+    The echelon form of the augmented rows [rows | I] is [E | T] with all
+    its pivots P in the first n columns, E the reduced echelon form of
+    rows and T.rows = E.  A vector v lies in the span exactly when
+    v = v[P].E, and then x = v[P].T solves x.rows = v."""
 
     def __init__(self, rows: List[list], field: Field):
         self.field = field
-        self.rows = rows
-        self.n = len(rows[0]) if len(rows) else 0
-        self.k = len(rows)
         m = field.p
-        aug = []
-        if self.k:
-            aug = np.hstack([as_array(rows, m), zeros((self.k, self.k), m)])
-            aug[np.arange(self.k), self.n + np.arange(self.k)] = field.one()
-        self._span = EchelonSpan(field, self.n + self.k, aug)
-        if any(pc >= self.n for pc in self._span.pivots):
+        k, n = len(rows), len(rows[0]) if len(rows) else 0
+        aug = np.hstack([as_array(rows, m).reshape(k, n), zeros((k, k), m)])
+        aug[np.arange(k), n + np.arange(k)] = field.one()
+        span = EchelonSpan(field, n + k, aug)
+        if any(pc >= n for pc in span.pivots):
             raise ValueError("RowBasis rows are linearly dependent")
+        self._pivots = span.pivots
+        echelon = as_array(span.rows, m).reshape(k, n + k)
+        self._echelon, self._transform = echelon[:, :n], echelon[:, n:]
 
     def coords(self, v) -> Optional[list]:
-        """x with sum_i x_i * rows[i] = v, or None when v is outside the span."""
+        """x with x.rows = v, or None when v is outside the span.  v is one
+        vector, or a matrix with one vector per row; then x has one row per
+        row of v, and None means some row is outside the span."""
         m = self.field.p
         v = as_array(v, m)
-        r = self._span.reduce(np.concatenate([v, zeros(self.k, m)]))
-        if np.count_nonzero(r[:len(v)]):
+        y = v[..., self._pivots]
+        back = matmul_mod(y, self._echelon, m) if self._pivots else zeros(v.shape, m)
+        if not np.array_equal(back, v):
             return None
-        return reduce_mod(-r[len(v):], m).tolist()
+        return matmul_mod(y, self._transform, m).tolist()
 
 
 def rref(rows, field: Field):

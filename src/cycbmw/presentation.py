@@ -341,17 +341,17 @@ class StructureAlgebra:
         m = A.field.p
         basis, R = RowBasis(rows, A.field), as_array(rows, m)
 
-        def coords(vec) -> tuple:
-            x = basis.coords(vec)
+        def coords(vecs) -> List[tuple]:
+            x = basis.coords(vecs)
             if x is None:
                 raise BuildError("rows do not span a subalgebra")
-            return tuple((k, c) for k, c in enumerate(x) if c)
+            return [tuple((k, c) for k, c in enumerate(row) if c) for row in x]
 
         table = {}
         for b, row in enumerate(rows):
-            for a, prod in enumerate(matmul_mod(R, A.right_matrix(A.sparse(row)), m)):
-                table[(a, b)] = coords(prod)
-        return cls.from_table(A.field, table, len(rows), dict(coords(A.dense(unit))),
+            for a, prod in enumerate(coords(matmul_mod(R, A.right_matrix(A.sparse(row)), m))):
+                table[(a, b)] = prod
+        return cls.from_table(A.field, table, len(rows), dict(coords([A.dense(unit)])[0]),
                               labels=labels, meta={"parent_dim": A.dim, "parent_rows": rows})
 
     def materialize(self):
@@ -559,8 +559,8 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
         if n == 2:
             d = _semi_degree_in_words(rules, words, p, 2)
         else:
-            d = semi_admissibility_degree(p, degree_cap=degree_cap,
-                                          orientation13=orientation13)
+            # a confluent n = 2 system is the same at any cap: use the probe's
+            d = semi_admissibility_degree(p, orientation13=orientation13)
     want, rule_name = expected_dimension(p, n, variant, d=d)
     meta = {
         "n": n,
@@ -634,13 +634,12 @@ def semi_admissibility_degree(p: ParameterSet, degree_cap: Optional[int] = None,
     return _semi_degree_in_words(A.rules, A.words, p, 2)
 
 
-def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
-    """(dimension, echelon row basis) of the two-sided ideal A x A."""
-    if not any(x.values()):
-        return 0, []
+def ideal_span(A: StructureAlgebra, rows) -> EchelonSpan:
+    """Echelon span of the two-sided ideal generated by the dense `rows`,
+    closed under `A.multipliers()` on both sides."""
     multipliers = A.multipliers()
-    span = EchelonSpan(A.field, A.dim, [A.dense(x)])
-    frontier = [dict(x)]
+    span = EchelonSpan(A.field, A.dim)
+    frontier = [A.sparse(row) for row in rows if span.insert(row)]
     while frontier:
         nxt = []
         for v in frontier:
@@ -649,6 +648,12 @@ def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
                     if span.insert(A.dense(prod)):
                         nxt.append(prod)
         frontier = nxt
+    return span
+
+
+def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
+    """(dimension, echelon row basis) of the two-sided ideal A x A."""
+    span = ideal_span(A, [A.dense(x)])
     return span.dim, span.row_lists()
 
 
@@ -693,10 +698,12 @@ def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebr
 # -- canonical JSON dump ---------------------------------------------------------
 
 def dump_algebra(A: StructureAlgebra) -> dict:
-    """Canonical JSON-able dump: byte-identical across runs."""
-    A._need_words()
-    f = A.field
+    """Canonical JSON-able dump, byte-identical across runs and across
+    dump -> load -> dump; needs the parameter set, which a corner lacks."""
     p = A.params
+    if p is None:
+        raise BuildError("dump needs an algebra built or loaded with its parameters")
+    f = A.field
     A.materialize()
     products = []
     for i in range(A.dim):

@@ -8,6 +8,11 @@ idempotents, and the idempotent-truncation functor M -> M e.  The central
 idempotents are split inside the center algebra Z, not inside the
 quotient: dim Z is the sum of the blocks' center degrees.
 
+Every module is a `ModuleRep`: a row basis in the quotient's coordinates.
+The truncation M e (the Schur functor to the corner e A e, Green 1980,
+Sec. 6) is one too, over the same quotient; the corner acts on it through
+the corner's rows in A, so one action routine serves both.
+
 All linear algebra is exact; random choices (only used to hunt splitting
 elements inside a block) are driven by an explicit seed and the
 deterministic sweeps run first.
@@ -25,7 +30,7 @@ import sympy
 from .fields import Field, PRIME_FIELD
 from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_mod,
                      nullspace, reduce_mod, scatter_add)
-from .presentation import StructureAlgebra
+from .presentation import StructureAlgebra, ideal_span
 
 DEFAULT_SEED = 20260801
 _SPLIT_TRIES = 60     # seeded random corner elements per primitive-idempotent round
@@ -95,17 +100,9 @@ def radical(A: StructureAlgebra) -> List[list]:
 
 
 def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
-    if not basis:
-        return
     f = A.field
-    span = EchelonSpan(f, A.dim, basis)
-    multipliers = A.multipliers()
-    for v in basis:
-        sv = A.sparse(v)
-        for m in multipliers:
-            for prod in (A.mul(sv, m), A.mul(m, sv)):
-                if not span.contains(A.dense(prod)):
-                    raise AnalysisError("radical candidate is not an ideal")
+    if ideal_span(A, basis).dim != len(basis):
+        raise AnalysisError("radical candidate is not an ideal")
     # repeated squaring of the ideal: dims must strictly fall to 0
     current = [A.sparse(v) for v in basis]
     while current:
@@ -464,32 +461,28 @@ def count_simples(A: StructureAlgebra, seed: int = DEFAULT_SEED) -> Tuple[int, b
 # -- modules ------------------------------------------------------------------------
 
 class ModuleRep:
-    """Right module given by exact action matrices.
+    """Right module of A given by a row basis in the coordinates of the
+    semisimple quotient S, on which A acts through the projection.
 
-    Rows live in the coordinates of the semisimple quotient S; the action
-    of an arbitrary algebra element is computed through the projection, so
-    generator matrices and idempotent truncations stay exact.
-    """
+    A simple module e*S and its truncation M e (the Schur functor to the
+    corner e A e, which acts through its rows in A) are both of this kind;
+    an empty row list is the zero module, whose action matrices are []."""
 
     def __init__(self, quot: QuotientData, rows: List[list]):
         self.quot = quot
         self.field = quot.S.field
         self.rows = rows
         self.dim = len(rows)
-        self.basis = RowBasis(rows, self.field) if rows else None
+        self.basis = RowBasis(rows, self.field)
+        self._rows = as_array(rows, self.field.p).reshape(self.dim, quot.S.dim)
 
     def action_matrix(self, coords_in_A: Dict[int, object]) -> List[list]:
         """Matrix of v -> v * a on the row basis."""
-        S = self.quot.S
         m = self.field.p
-        Ra = S.right_matrix(self.quot.proj(coords_in_A))
-        imgs = matmul_mod(as_array(self.rows, m), Ra, m)
-        out = []
-        for vec in imgs:
-            coords = self.basis.coords(vec)
-            if coords is None:
-                raise AnalysisError("module rows are not invariant")
-            out.append(coords)
+        Ra = self.quot.S.right_matrix(self.quot.proj(coords_in_A))
+        out = self.basis.coords(matmul_mod(self._rows, Ra, m))
+        if out is None:
+            raise AnalysisError("module rows are not invariant")
         return out
 
 
@@ -508,27 +501,13 @@ def simple_modules(A: StructureAlgebra, report: WedderburnReport) -> List[Module
     return out
 
 
-def truncate_module(M: ModuleRep, e_coords_A: Dict[int, object],
-                    corner: StructureAlgebra) -> "CornerModule":
-    """The image M e with the corner algebra acting on it."""
-    span = EchelonSpan(M.field, M.dim, M.action_matrix(e_coords_A))
-    return CornerModule(corner, span.row_lists(), M)
-
-
-class CornerModule:
-    """Right module over a corner algebra eAe, carried inside a parent module."""
-
-    def __init__(self, corner: StructureAlgebra, rows: List[list], parent: ModuleRep):
-        self.corner = corner
-        self.rows = rows             # coordinates inside the parent module
-        self.parent = parent
-        self.dim = len(rows)
-        self.field = corner.field
-        self.basis = RowBasis(rows, self.field) if rows else None
-
-    def action_matrix(self, corner_index: int) -> List[list]:
-        """Action of the corner basis element (given by its index)."""
-        return _corner_action(self, {corner_index: self.field.one()})
+def truncate_module(M: ModuleRep, e_coords_A: Dict[int, object]) -> ModuleRep:
+    """The image M e, over the same quotient: the echelon basis of the rows
+    (action of e) . M.rows, in S's coordinates."""
+    m = M.field.p
+    image = matmul_mod(as_array(M.action_matrix(e_coords_A), m).reshape(M.dim, M.dim),
+                       M._rows, m)
+    return ModuleRep(M.quot, EchelonSpan(M.field, M.quot.S.dim, image).row_lists())
 
 
 @dataclass
@@ -542,55 +521,39 @@ class FunctorReport:
         return len(self.survivors)
 
 
-def functor_grading_check(A: StructureAlgebra, corner: StructureAlgebra,
-                          simples: List[ModuleRep],
+def functor_grading_check(corner: StructureAlgebra, simples: List[ModuleRep],
                           e_coords: Dict[int, object],
                           seed: int = DEFAULT_SEED) -> FunctorReport:
     """Apply M -> M e to every simple and test the image against the
     corner's own block data (central character + dimension)."""
-    crad = radical(corner)
-    crep = wedderburn(corner, crad, seed=seed)
-    cquot = crep._quotient
+    crep = wedderburn(corner, radical(corner), seed=seed)
     annihilated = 0
     survivors = []
     for M in simples:
-        T = truncate_module(M, e_coords, corner)
+        T = truncate_module(M, e_coords)
         if T.dim == 0:
             annihilated += 1
             continue
-        is_simple = _corner_module_is_simple(T, crep, cquot)
-        survivors.append((T.dim, is_simple))
+        survivors.append((T.dim, _corner_module_is_simple(T, corner, crep)))
     return FunctorReport(annihilated=annihilated, survivors=survivors,
                          corner_blocks=crep.block_dims_sorted())
 
 
-def _corner_module_is_simple(T: CornerModule, crep: WedderburnReport,
-                             cquot: QuotientData) -> bool:
+def _corner_module_is_simple(T: ModuleRep, corner: StructureAlgebra,
+                             crep: WedderburnReport) -> bool:
     """Simple iff exactly one block acts nonzero and the dimension matches
-    that block's matrix size (valid for split blocks)."""
+    that block's matrix size (valid for split blocks).  Each central
+    idempotent of the corner's quotient acts through its lift to A: the
+    corner rows of the quotient's basis elements."""
+    m = T.field.p
+    cquot = crep._quotient
+    lift = as_array(corner.meta["parent_rows"], m)[cquot.complement]
     hits = []
     for info, eps in zip(crep.block_info, crep._central_idempotents):
-        # lift eps back to corner coordinates: S's basis is part of the corner's
-        eps_corner = {cquot.complement[t]: c for t, c in eps.items()}
-        mat = _corner_action(T, eps_corner)
-        if any(any(c for c in row) for row in mat):
+        a = corner.sparse(matmul_mod(cquot.S.dense(eps), lift, m))
+        if any(any(row) for row in T.action_matrix(a)):
             hits.append(info)
     if len(hits) != 1:
         return False
     info = hits[0]
     return info.split and T.dim == info.matrix_size
-
-
-def _corner_action(T: CornerModule, corner_coords: Dict[int, object]) -> List[list]:
-    """Action of an arbitrary corner element (corner coordinates) on T."""
-    m = T.field.p
-    parent_rows = as_array(T.corner.meta["parent_rows"], m)
-    a = T.corner.sparse(matmul_mod(T.corner.dense(corner_coords), parent_rows, m))
-    big = as_array(T.parent.action_matrix(a), m)
-    out = []
-    for img in matmul_mod(as_array(T.rows, m), big, m):
-        coords = T.basis.coords(img)
-        if coords is None:
-            raise AnalysisError("corner action left the truncated space")
-        out.append(coords)
-    return out

@@ -155,3 +155,22 @@ def test_rowbasis_coords_match_sympy(field):
     empty = RowBasis([], field)
     assert empty.coords([field.zero()] * 3) == []
     assert empty.coords([field.zero(), field.one(), field.zero()]) is None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_rowbasis_coords_of_a_matrix(field):
+    rng = random.Random(12)
+    k, n = 3, 7
+    rows = _random_matrix(rng, field, k, n)
+    basis = RowBasis(rows, field)
+    X = _random_matrix(rng, field, 5, k)
+    V = _from_sympy(_to_sympy(X, k, field) * _to_sympy(rows, n, field), field)
+    assert basis.coords(V) == X
+    # one row outside the span makes the whole answer None
+    w = _random_matrix(rng, field, 1, n)
+    assert _to_sympy(rows + w, n, field).rank() == k + 1
+    assert basis.coords(V[:2] + w + V[2:]) is None
+    empty = RowBasis([], field)
+    assert empty.coords(np.zeros((0, n), dtype=object)) == []
+    assert empty.coords([[field.zero()] * n] * 2) == [[], []]
+    assert empty.coords([[field.zero()] * n, [field.one()] + [field.zero()] * (n - 1)]) is None

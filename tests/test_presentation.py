@@ -370,6 +370,30 @@ def test_probe_completion_is_reused(monkeypatch):
     # another cap is another completion
     build_algebra(2, p, degree_cap=13)
     assert caps == [12, 12, 16, 13]
+    # a user cap at n = 3 does not complete n = 2 again: d comes from the
+    # probe's default-cap system
+    monkeypatch.setattr(presentation, "_probe_cache", {})
+    caps.clear()
+    build_algebra(3, semi_21(), degree_cap=16)
+    assert caps == [12, 16]
+
+
+@pytest.mark.parametrize("n,params,variant", [
+    (3, lambda: generic(1), "bmw"),
+    (3, semi_21, "bmw"),
+    (3, lambda: generic(2), "ariki_koike"),
+    (1, lambda: generic(3), "bmw"),
+], ids=["b13", "semi_b23", "ak_b23", "b31"])
+def test_dump_load_dump_is_byte_identical(n, params, variant):
+    text = dumps_algebra(build_algebra(n, params(), variant=variant))
+    assert dumps_algebra(load_algebra(json.loads(text))) == text
+
+
+def test_dump_rejects_corner(algebras):
+    A = algebras[(1, 3)]
+    C = corner_algebra(A, truncation_idempotent(A, A.params))
+    with pytest.raises(BuildError):
+        dump_algebra(C)
 
 
 def test_load_rejects_corruption():

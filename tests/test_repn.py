@@ -300,7 +300,7 @@ def test_truncate_module_extremes():
     C = corner_algebra(A, e)
     dims = []
     for M in mods:
-        T = truncate_module(M, e, C)
+        T = truncate_module(M, e)
         dims.append((M.dim, T.dim))
         # dim(Me) + dim(M(1-e)) = dim M
         f = A.field
@@ -311,11 +311,11 @@ def test_truncate_module_extremes():
                 one_minus_e[i] = v
             elif i in one_minus_e:
                 del one_minus_e[i]
-        T2 = truncate_module(M, one_minus_e, C)
+        T2 = truncate_module(M, one_minus_e)
         assert T.dim + T2.dim == M.dim
         # e = 1 keeps everything, e = 0 kills everything
-        assert truncate_module(M, A.unit(), C).dim == M.dim
-        assert truncate_module(M, {}, C).dim == 0
+        assert truncate_module(M, A.unit()).dim == M.dim
+        assert truncate_module(M, {}).dim == 0
     assert sorted(t for _, t in dims) == [0, 0, 0, 1]
 
 
@@ -331,7 +331,7 @@ def test_regular_module_truncation_rank():
     M = ModuleRep(quot, rows)
     e = truncation_idempotent(A, p)
     C = corner_algebra(A, e)
-    T = truncate_module(M, e, C)
+    T = truncate_module(M, e)
     assert T.dim == rank(A.right_matrix(e), f)
 
 
@@ -341,10 +341,50 @@ def test_functor_grading_bmw13():
     e = truncation_idempotent(A, p)
     C = corner_algebra(A, e)
     rep = wedderburn(A, radical(A))
-    fr = functor_grading_check(A, C, simple_modules(A, rep), e)
+    fr = functor_grading_check(C, simple_modules(A, rep), e)
     assert fr.annihilated == 3
     assert fr.survivors == [(1, True)]
     assert fr.corner_blocks == [1]
+
+
+@pytest.mark.parametrize("params,want", [
+    (lambda: generic(2), (10, [(1, True), (1, True)], [1, 1])),
+    (lambda: ParameterSet(QQ, 2, "1/3", [3], admissible=True), (3, [(1, True)], [1])),
+], ids=["gf101_b23", "q_b13"])
+def test_functor_grading_b_n3(params, want):
+    p = params()
+    A = build_algebra(3, p)
+    e = truncation_idempotent(A, p)
+    rep = wedderburn(A, radical(A))
+    fr = functor_grading_check(corner_algebra(A, e), simple_modules(A, rep), e)
+    assert (fr.annihilated, fr.survivors, fr.corner_blocks) == want
+
+
+def test_empty_module_acts_by_empty_matrices():
+    from cycbmw.repn import ModuleRep
+    A = build_algebra(3, generic(1))
+    rep = wedderburn(A, radical(A))
+    quot = rep._quotient
+    Z = ModuleRep(quot, [])
+    assert Z.dim == 0 and Z.action_matrix(A.gens["g1"]) == []
+    for M in simple_modules(A, rep):
+        T = truncate_module(M, {})
+        assert T.dim == 0
+        assert T.action_matrix(A.unit()) == [] and T.action_matrix(A.gens["e1"]) == []
+        assert truncate_module(T, A.unit()).dim == 0
+
+
+def test_nilpotent_ideal_certificate_rejects():
+    A = build_algebra(2, generic(1))
+    with pytest.raises(repn.AnalysisError, match="not an ideal"):
+        repn._certify_nilpotent_ideal(A, [A.dense(A.gens["g1"]).tolist()])
+    for B in (A, dual_numbers(QQ), matrix_algebra(F101, 2)):
+        identity = [B.dense({i: B.field.one()}).tolist() for i in range(B.dim)]
+        with pytest.raises(repn.AnalysisError, match="not nilpotent"):
+            repn._certify_nilpotent_ideal(B, identity)
+    # the radical itself passes
+    D = dual_numbers(F101)
+    repn._certify_nilpotent_ideal(D, [D.dense({1: 1}).tolist()])
 
 
 def test_functor_ariki_koike_all_annihilated():
@@ -358,7 +398,7 @@ def test_functor_ariki_koike_all_annihilated():
     rep = wedderburn(A, radical(A))
     mods = simple_modules(A, rep)
     for M in mods:
-        assert truncate_module(M, e, C).dim == 0
+        assert truncate_module(M, e).dim == 0
 
 
 def _generic_over(field, r):
