@@ -56,7 +56,7 @@ def _add_param_flags(sp):
 
 
 def _parameters_from_args(args) -> ParameterSet:
-    inline = [args.field, args.q_val, args.rho, args.u]
+    inline = [args.field, args.q_val, args.rho, args.u, args.r, args.omega, args.admissible]
     if args.params and any(v is not None for v in inline):
         raise CliError("--params and inline parameter flags are mutually exclusive")
     if args.params:

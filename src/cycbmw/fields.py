@@ -139,7 +139,10 @@ class Field:
         s = s.strip()
         if self.kind == PRIME_FIELD:
             return int(s, 10) % self.p
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in {s!r}") from None
 
     # -- element factory ----------------------------------------------------
 

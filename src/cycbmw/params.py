@@ -299,6 +299,10 @@ def render_parameter_file(p: ParameterSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PARAMETER_KEYS = ("field", "q", "rho", "r", "u", "admissible", "omega")
+_FLAG_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def parse_parameter_file(text: str) -> ParameterSet:
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -308,7 +312,10 @@ def parse_parameter_file(text: str) -> ParameterSet:
         if "=" not in line:
             raise ParameterError(f"line {lineno}: expected 'key = value'")
         key, val = line.split("=", 1)
-        entries[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key not in _PARAMETER_KEYS:
+            raise ParameterError(f"line {lineno}: unknown key {key!r}")
+        entries[key] = val.strip()
     missing = {"field", "q", "rho", "u"} - set(entries)
     if missing:
         raise ParameterError(f"parameter file is missing: {', '.join(sorted(missing))}")
@@ -316,7 +323,11 @@ def parse_parameter_file(text: str) -> ParameterSet:
     u = [s.strip() for s in entries["u"].split(",") if s.strip()]
     if "r" in entries and int(entries["r"]) != len(u):
         raise ParameterError("declared r does not match the number of u-values")
-    admissible = entries.get("admissible", "true").lower() in ("true", "1", "yes")
+    flag = entries.get("admissible", "true").lower()
+    if flag not in _FLAG_VALUES:
+        raise ParameterError(f"admissible must be one of {'/'.join(_FLAG_VALUES)}, "
+                             f"got {flag!r}")
+    admissible = _FLAG_VALUES[flag]
     omegas = None
     if "omega" in entries:
         omegas = [s.strip() for s in entries["omega"].split(",") if s.strip()]

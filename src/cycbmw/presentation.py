@@ -235,6 +235,12 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
 
 # -- the algebra object ---------------------------------------------------------
 
+def table_entries(rows: List[list]) -> List[tuple]:
+    """Dense coordinate rows (lists of raw values) as product-table entries:
+    the (k, c) pairs with c nonzero, in order of k."""
+    return [tuple((k, c) for k, c in enumerate(row) if c) for row in rows]
+
+
 class StructureAlgebra:
     """Finite-dimensional algebra with an explicit basis and exact products.
 
@@ -345,7 +351,7 @@ class StructureAlgebra:
             x = basis.coords(vecs)
             if x is None:
                 raise BuildError("rows do not span a subalgebra")
-            return [tuple((k, c) for k, c in enumerate(row) if c) for row in x]
+            return table_entries(x)
 
         table = {}
         for b, row in enumerate(rows):
@@ -423,6 +429,10 @@ class StructureAlgebra:
         vals = reduce_mod(va[I[sel]] * C[sel], m)
         return scatter_add(J[sel] * self.dim + K[sel], vals, self.dim**2, m).reshape(
             self.dim, self.dim)
+
+    def sandwich(self, e: Dict[int, object]) -> np.ndarray:
+        """Rows spanning e A e: row i of L_e R_e is e b_i e."""
+        return matmul_mod(self.left_matrix(e), self.right_matrix(e), self.field.p)
 
     def unit(self) -> Dict[int, object]:
         return dict(self.unit_coords)
@@ -689,9 +699,7 @@ def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebr
     """The corner eAe with unit e, as a structure-constants algebra."""
     if A.mul(e, e) != e:
         raise BuildError("corner requires an idempotent")
-    # row k of L_e R_e is e b_k e
-    sandwich = matmul_mod(A.left_matrix(e), A.right_matrix(e), A.field.p)
-    rows = EchelonSpan(A.field, A.dim, sandwich).row_lists()
+    rows = EchelonSpan(A.field, A.dim, A.sandwich(e)).row_lists()
     return StructureAlgebra.from_rows(A, rows, e, labels=[f"c{i}" for i in range(len(rows))])
 
 
@@ -748,6 +756,9 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         for i, j, entries in blob["products"]:
             table[(int(i), int(j))] = tuple(
                 (int(k), field.parse(c)) for k, c in entries)
+        index = [x for key in table for x in key] + [k for t in table.values() for k, _ in t]
+        if index and not 0 <= min(index) <= max(index) < dim:
+            raise ValueError(f"a product index lies outside range({dim})")
         unit = {labels.index("1"): field.one()}
         gens = {lab: {i: field.one()} for i, lab in enumerate(labels)
                 if "." not in lab and lab != "1"}

@@ -8,6 +8,13 @@ idempotents, and the idempotent-truncation functor M -> M e.  The central
 idempotents are split inside the center algebra Z, not inside the
 quotient: dim Z is the sum of the blocks' center degrees.
 
+Idempotents are cut by one step, `_split(S, w, e)`, along the coprime
+primary factors of the minimal polynomial of w in e S e (the finite-field
+splitting of Ronyai 1990): all parts refine the central idempotents, the
+first refines a block's idempotent towards a primitive one.  The
+semisimple quotient is built, like corners and the center algebra, from
+right multiplication matrices, one table column per matrix.
+
 Every module is a `ModuleRep`: a row basis in the quotient's coordinates.
 The truncation M e (the Schur functor to the corner e A e, Green 1980,
 Sec. 6) is one too, over the same quotient; the corner acts on it through
@@ -20,6 +27,7 @@ deterministic sweeps run first.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -30,7 +38,7 @@ import sympy
 from .fields import Field, PRIME_FIELD
 from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_mod,
                      nullspace, reduce_mod, scatter_add)
-from .presentation import StructureAlgebra, ideal_span
+from .presentation import StructureAlgebra, ideal_span, table_entries
 
 DEFAULT_SEED = 20260801
 _SPLIT_TRIES = 60     # seeded random corner elements per primitive-idempotent round
@@ -135,21 +143,28 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientDa
     f = A.field
     if not rad_rows:
         return QuotientData(A, lambda coords: dict(coords), list(range(A.dim)))
+    m = f.p
     span = EchelonSpan(f, A.dim, rad_rows)
-    pivots = set(span.pivots)
-    complement = [j for j in range(A.dim) if j not in pivots]
-    pos = {j: t for t, j in enumerate(complement)}
+    P = span.pivots
+    complement = sorted(set(range(A.dim)) - set(P))
+    E = as_array(span.rows, m)[:, complement]
+
+    def quotient_coords(v: np.ndarray) -> np.ndarray:
+        # the radical's RREF is zero at every pivot but its own, so
+        # v - v[P].RREF is EchelonSpan.reduce of each row of v; only its
+        # complement columns are kept, and E holds those of the RREF
+        return reduce_mod(v[..., complement] - matmul_mod(v[..., P], E, m), m)
 
     def project(coords: Dict[int, object]) -> Dict[int, object]:
-        vec = span.reduce(A.dense(coords)).tolist()
-        return {pos[j]: vec[j] for j in complement if vec[j]}
+        return A.sparse(quotient_coords(A.dense(coords)))
 
+    # column b: row i = complement[a] of R_{b_j}, j = complement[b], is b_i b_j
     table = {}
     dim = len(complement)
-    for a in range(dim):
-        for b in range(dim):
-            prod = dict(A.product(complement[a], complement[b]))
-            table[(a, b)] = tuple(sorted(project(prod).items()))
+    for b, j in enumerate(complement):
+        column = quotient_coords(A.right_matrix({j: f.one()})[complement]).tolist()
+        for a, prod in enumerate(table_entries(column)):
+            table[(a, b)] = prod
     unit = project(A.unit())
     gens = {name: project(coords) for name, coords in A.gens.items()}
     S = StructureAlgebra.from_table(f, table, dim, unit,
@@ -170,41 +185,14 @@ def center(S: StructureAlgebra) -> List[list]:
     return nullspace(equations, S.dim, f)
 
 
-def _minimal_polynomial(S: StructureAlgebra, w: Dict[int, object],
-                        unit: Dict[int, object]) -> list:
-    """Monic minimal polynomial (ascending raw coefficients) of w in the
-    unital algebra (span, unit)."""
-    f = S.field
-    Rw = S.right_matrix(w)
-    cur = S.dense(unit)
-    span = EchelonSpan(f, S.dim, [cur])
-    powers = [cur]
-    while True:
-        cur = matmul_mod(cur, Rw, f.p)
-        if not span.insert(cur):
-            coeffs = RowBasis(powers, f).coords(cur)
-            return [f.neg(c) for c in coeffs] + [f.one()]
-        powers.append(cur)
-
-
 def _sympy_poly(coeffs, f: Field):
-    x = sympy.Symbol("x")
-    if f.kind == PRIME_FIELD:
-        return sympy.Poly(list(reversed([int(c) for c in coeffs])), x, modulus=f.p)
-    return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
-                                     for c in coeffs])), x, domain="QQ")
-
-
-def _coeffs_from_sympy(poly, f: Field) -> list:
-    cs = list(reversed(poly.all_coeffs()))
-    if f.kind == PRIME_FIELD:
-        return [int(c) % f.p for c in cs]
-    from fractions import Fraction
-    return [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in cs]
+    dom = {"modulus": f.p} if f.kind == PRIME_FIELD else {"domain": "QQ"}
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], sympy.Symbol("x"), **dom)
 
 
 def _coprime_idempotent_polys(mp_coeffs, f: Field):
-    """Polynomials h_a with h_a = 1 mod primary factor a, 0 mod the rest.
+    """Polynomials h_a with h_a = 1 mod primary factor a, 0 mod the rest,
+    as ascending raw coefficients.
 
     Empty list when the minimal polynomial is primary (no split there),
     which a linear one always is."""
@@ -217,30 +205,40 @@ def _coprime_idempotent_polys(mp_coeffs, f: Field):
     primaries = [fac**mult for fac, mult in factors]
     out = []
     for a, pa in enumerate(primaries):
-        rest = sympy.Poly(1, poly.gen, **_dom_kwargs(f))
+        rest = poly.one
         for b, pb in enumerate(primaries):
             if b != a:
                 rest = rest * pb
-        inv = sympy.invert(rest, pa)
-        h = (rest * inv) % poly
-        out.append(_coeffs_from_sympy(h, f))
+        h = (rest * sympy.invert(rest, pa)) % poly
+        out.append([f.div(f.of_int(int(c.p)), f.of_int(int(c.q)))
+                    for c in reversed(h.all_coeffs())])
     return out
 
 
-def _dom_kwargs(f: Field):
-    return {"modulus": f.p} if f.kind == PRIME_FIELD else {"domain": "QQ"}
+def _split(S: StructureAlgebra, w: Dict[int, object],
+           e: Dict[int, object]) -> List[Dict[int, object]]:
+    """The nonzero parts h(w) of the idempotent e, one per coprime
+    idempotent polynomial h of the minimal polynomial of w in the unital
+    algebra (e S e, e); [] when that polynomial is primary.
 
-
-def _eval_poly(S: StructureAlgebra, coeffs, w: Dict[int, object],
-               unit: Dict[int, object]) -> Dict[int, object]:
-    """Horner evaluation of sum c_k w^k with w^0 = unit."""
-    m = S.field.p
+    The powers e w^k are collected until one is dependent on those before;
+    its coordinates give the minimal polynomial, and h(w) = h . powers."""
+    f = S.field
+    m = f.p
     Rw = S.right_matrix(w)
-    u = S.dense(unit)
-    acc = S.dense({})
-    for c in reversed(coeffs):
-        acc = reduce_mod(matmul_mod(acc, Rw, m) + c * u, m)
-    return S.sparse(acc)
+    cur = S.dense(e)
+    span = EchelonSpan(f, S.dim, [cur])
+    powers = [cur]
+    while True:
+        cur = matmul_mod(cur, Rw, m)
+        if not span.insert(cur):
+            break
+        powers.append(cur)
+    mp = [f.neg(c) for c in RowBasis(powers, f).coords(cur)] + [f.one()]
+    P = as_array(powers, m)
+    parts = [S.sparse(matmul_mod(as_array(h, m), P[:len(h)], m))
+             for h in _coprime_idempotent_polys(mp, f)]
+    return [part for part in parts if part]
 
 
 def central_primitive_idempotents(S: StructureAlgebra,
@@ -259,19 +257,8 @@ def central_primitive_idempotents(S: StructureAlgebra,
     idems = [Z.unit()]
     for b in range(Z.dim):
         z = {b: f.one()}
-        nxt = []
-        for eps in idems:
-            w = Z.mul(Z.mul(eps, z), eps)
-            mp = _minimal_polynomial(Z, w, eps)
-            hs = _coprime_idempotent_polys(mp, f)
-            if not hs:
-                nxt.append(eps)
-                continue
-            for h in hs:
-                part = _eval_poly(Z, h, w, eps)
-                if part:
-                    nxt.append(part)
-        idems = nxt
+        idems = [part for eps in idems
+                 for part in _split(Z, Z.mul(Z.mul(eps, z), eps), eps) or [eps]]
     Zm = as_array(center_rows, m)
     out = [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
     for eps in out:
@@ -319,11 +306,6 @@ class WedderburnReport:
         }
 
 
-def _sandwich_rows(S: StructureAlgebra, e: Dict[int, object]) -> np.ndarray:
-    """Rows spanning e*S*e: row i of L_e R_e is e * b_i * e."""
-    return matmul_mod(S.left_matrix(e), S.right_matrix(e), S.field.p)
-
-
 def _independent_rows(S: StructureAlgebra, rows) -> np.ndarray:
     """The rows that are independent of the rows before them."""
     span = EchelonSpan(S.field, S.dim)
@@ -335,10 +317,10 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
                          seed: int = DEFAULT_SEED) -> Optional[Tuple[Dict[int, object], int]]:
     """Refine eps to a primitive idempotent e of eps*S*eps and return
     (e, dim e*S*e); `corner` is a basis of eps*S*eps, the independent
-    rows of `_sandwich_rows(S, eps)`.
+    rows of `S.sandwich(eps)`.
 
-    Deterministic sweep through corner basis elements and their pairwise
-    products first, then seeded random corner elements.  Returns None when
+    Sweeps the corner basis elements, then seeded random corner elements,
+    then the pairwise products of basis elements.  Returns None when
     nothing splits within the budget (reported by callers, never fudged).
     """
     f = S.field
@@ -361,22 +343,15 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
                       else f.of_int(rng.randrange(-9, 10)) for _ in corner_rows]
                 yield S.sparse(matmul_mod(as_array(cs, m), corner, m))
             for a in corner_rows:
-                for b in corner_rows:
-                    yield S.mul(a, b)
-        split_found = False
-        for w in candidates():
-            if not w:
-                continue
-            mp = _minimal_polynomial(S, w, e)
-            hs = _coprime_idempotent_polys(mp, f)
-            if hs:
-                part = _eval_poly(S, hs[0], w, e)
-                if part and part != e:
-                    e = part
-                    corner = _independent_rows(S, _sandwich_rows(S, e))
-                    split_found = True
-                    break
-        if not split_found:
+                # row b is a * corner[b]
+                yield from map(S.sparse, matmul_mod(corner, S.left_matrix(a), m))
+        for w in filter(None, candidates()):
+            parts = _split(S, w, e)
+            if parts:
+                e = parts[0]
+                corner = _independent_rows(S, S.sandwich(e))
+                break
+        else:
             return None
     return None
 
@@ -400,7 +375,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     ideals = []      # per block, the span of e*S (None without a primitive e)
     caveats = []
     for eps in idems:
-        sandwich = _sandwich_rows(S, eps)
+        sandwich = S.sandwich(eps)
         corner = _independent_rows(S, sandwich)
         bdim = len(corner)
         # row t of cen (L_eps R_eps) is eps z_t eps: the block's center
@@ -424,7 +399,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
             if f.kind == PRIME_FIELD:
                 # D is a finite division ring, hence the field of degree kdeg
                 d2 = bdim // kdeg
-                d = int(round(d2**0.5))
+                d = math.isqrt(d2)
                 if d * d * kdeg != bdim:
                     raise AnalysisError("block dimension is not d^2 * k")
                 info.matrix_size = d

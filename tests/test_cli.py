@@ -46,6 +46,34 @@ def test_build_param_file_exclusive(tmp_path, capsys):
     assert code == 0 and json.loads(out)["dimension"] == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ("--r", "1"), ("--omega", "5"), ("--admissible",), ("--no-admissible",),
+    ("--no-admissible", "--r", "3", "--omega", "5"),
+], ids=["r", "omega", "admissible", "no-admissible", "all-three"])
+def test_param_file_excludes_every_inline_flag(tmp_path, capsys, flags):
+    f = tmp_path / "p.params"
+    f.write_text("field = gfp:101\nq = 2\nrho = 76\nu = 4\nadmissible = true\n")
+    code, out, err = run(capsys, "semiadmissible", "--params", str(f), *flags)
+    assert code == 1 and "mutually exclusive" in err and not out
+
+
+def test_zero_denominator_is_validation_error(tmp_path, capsys):
+    code, out, err = run(capsys, "build", "--n", "1", "--field", "q", "--q", "1/0",
+                         "--u", "1")
+    assert code == 1 and err.startswith("error:") and "zero denominator" in err
+    dump = tmp_path / "q11.json"
+    code, out, err = run(capsys, "build", "--n", "1", "--field", "q", "--q", "2",
+                         "--u", "1", "--out", str(dump))
+    assert code == 0
+    blob = json.loads(dump.read_text())
+    assert blob["products"] == [[0, 0, [[0, "1"]]]]
+    blob["products"][0][2][0][1] = "1/0"
+    dump.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "analyze", str(dump))
+    assert code == 1 and not out
+    assert err.startswith("error: corrupted algebra dump") and "zero denominator" in err
+
+
 def test_build_cap_exhaustion_is_resource_error(capsys):
     code, out, err = run(capsys, "build", "--n", "2", *GENERIC,
                          "--degree-cap", "1")

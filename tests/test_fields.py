@@ -117,6 +117,14 @@ def test_descriptor_strings():
         Field.from_descriptor("reals")
 
 
+def test_parse_rejects_zero_denominator():
+    for s in ("1/0", " -3/0 "):
+        with pytest.raises(FieldError, match="zero denominator"):
+            QQ.parse(s)
+        with pytest.raises(FieldError, match="zero denominator"):
+            QQ(s)
+
+
 def test_descriptor_mismatch():
     with pytest.raises(FieldError):
         GF(7)(1) + GF(11)(1)

@@ -176,3 +176,20 @@ def test_parameter_file_errors():
         parse_parameter_file("field = q\nq = 2\n")      # missing rho, u
     with pytest.raises(ParameterError):
         parse_parameter_file("field = q\nq = 2\nrho = 1/3\nu = 3\nr = 2\n")
+
+
+@pytest.mark.parametrize("line,match", [
+    ("admissible = ture", "admissible must be one of"),
+    ("admissable = true", "unknown key 'admissable'"),
+    ("omegas = 1", "unknown key 'omegas'"),
+], ids=["flag-typo", "key-typo", "plural-key"])
+def test_parameter_file_rejects_bad_input(line, match):
+    with pytest.raises(ParameterError, match=match):
+        parse_parameter_file(f"field = q\nq = 2\nrho = 1/3\nu = 3\n{line}\n")
+
+
+def test_parameter_file_flag_values():
+    base = "field = q\nq = 2\nrho = 1/3\nu = 3\n"
+    for flag, want in (("true", True), ("1", True), ("Yes", True),
+                       ("false", False), ("0", False), ("NO", False)):
+        assert parse_parameter_file(base + f"admissible = {flag}\n").admissible is want

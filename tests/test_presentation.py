@@ -409,6 +409,28 @@ def test_load_rejects_corruption():
         load_algebra(bad2)
 
 
+def _set_k(value):
+    def corrupt(entry):
+        entry[2][0][0] = value
+    return corrupt
+
+
+def _rename_i(entry):
+    entry[0] = 7
+
+
+@pytest.mark.parametrize("corrupt", [_set_k(-1), _rename_i, _set_k(99)],
+                         ids=["k=-1", "(1,0)->(7,0)", "k=99"])
+def test_load_rejects_out_of_range_index(corrupt):
+    blob = json.loads(dumps_algebra(build_algebra(1, generic(3))))
+    assert len(blob["basis"]) == 3
+    entry = blob["products"][3]
+    assert entry[:2] == [1, 0] and entry[2]
+    corrupt(entry)
+    with pytest.raises(BuildError, match="corrupted algebra dump: .*outside range"):
+        load_algebra(blob)
+
+
 def test_degree_cap_env(monkeypatch):
     monkeypatch.setenv("BMW_DEGREE_CAP", "17")
     assert default_degree_cap(2, 1) == 17

@@ -1,16 +1,19 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cycbmw.acceptance import semi_parameters
 from cycbmw.fields import GF, QQ
+from cycbmw.linalg import EchelonSpan, RowBasis, matmul_mod, reduce_mod
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import (StructureAlgebra, build_algebra, corner_algebra,
                                  truncation_idempotent)
 from cycbmw import repn
-from cycbmw.repn import (_coprime_idempotent_polys, _eval_poly, _minimal_polynomial,
-                         center, central_primitive_idempotents, count_simples,
+from cycbmw.repn import (_coprime_idempotent_polys, center,
+                         central_primitive_idempotents, count_simples,
                          functor_grading_check, radical, semisimple_quotient,
                          simple_modules, truncate_module, wedderburn)
 from cycbmw.combinatorics import Multicharge, classify_cyclotomic
@@ -120,6 +123,33 @@ def test_to_json_reports_blocks_and_caveats():
                                       "division_dim": None, "split": False}]
 
 
+def _minimal_polynomial(S, w, unit):
+    """Monic minimal polynomial (ascending raw coefficients) of w in the
+    unital algebra (span, unit): the reference for repn._split."""
+    f = S.field
+    Rw = S.right_matrix(w)
+    cur = S.dense(unit)
+    span = EchelonSpan(f, S.dim, [cur])
+    powers = [cur]
+    while True:
+        cur = matmul_mod(cur, Rw, f.p)
+        if not span.insert(cur):
+            coeffs = RowBasis(powers, f).coords(cur)
+            return [f.neg(c) for c in coeffs] + [f.one()]
+        powers.append(cur)
+
+
+def _eval_poly(S, coeffs, w, unit):
+    """Horner evaluation of sum c_k w^k with w^0 = unit."""
+    m = S.field.p
+    Rw = S.right_matrix(w)
+    u = S.dense(unit)
+    acc = S.dense({})
+    for c in reversed(coeffs):
+        acc = reduce_mod(matmul_mod(acc, Rw, m) + c * u, m)
+    return S.sparse(acc)
+
+
 def _split_in_algebra(S, center_rows):
     """The split of the center run on dim-sized elements of S itself: the
     reference that central_primitive_idempotents must reproduce."""
@@ -216,6 +246,42 @@ def test_quotient_is_semisimple():
         rad = radical(A)
         S = semisimple_quotient(A, rad).S
         assert radical(S) == []
+
+
+def _quotient_by_entries(A, rad_rows):
+    """Table, unit and gens of A/rad one product and one reduction at a
+    time: the reference for semisimple_quotient."""
+    span = EchelonSpan(A.field, A.dim, rad_rows)
+    complement = [j for j in range(A.dim) if j not in span.pivots]
+    pos = {j: t for t, j in enumerate(complement)}
+
+    def project(coords):
+        vec = span.reduce(A.dense(coords)).tolist()
+        return {pos[j]: vec[j] for j in complement if vec[j]}
+    table = {(a, b): tuple(sorted(project(dict(A.product(i, j))).items()))
+             for a, i in enumerate(complement) for b, j in enumerate(complement)}
+    return table, project(A.unit()), {name: project(c) for name, c in A.gens.items()}
+
+
+QUOTIENT_CASES = {
+    "semi_b23": lambda: build_algebra(3, semi_parameters()),
+    "q_b32": lambda: build_algebra(2, ParameterSet(QQ, 2, 1, [1, 4, Fraction(1, 4)],
+                                                   admissible=True)),
+    "q_b13": lambda: build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True)),
+    "dual_q": lambda: dual_numbers(QQ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+def test_quotient_matches_entrywise_reference(case):
+    A = QUOTIENT_CASES[case]()
+    rad = radical(A)
+    assert rad
+    S = semisimple_quotient(A, rad).S
+    table, unit, gens = _quotient_by_entries(A, rad)
+    # repr also tells a Python scalar from a numpy one
+    assert repr((sorted(S._table.items()), S.unit(), S.gens)) == repr(
+        (sorted(table.items()), unit, gens))
 
 
 def test_radical_nilpotent_and_ideal():
@@ -458,3 +524,25 @@ def test_multiplication_matches_product_table(case):
         assert A.mul(a, x) == A.sparse(_table_product(A, a, x))
         assert A.right_matrix(x).tolist() == [_table_product(A, b, x) for b in basis]
         assert A.left_matrix(a).tolist() == [_table_product(A, a, b) for b in basis]
+
+
+def _analysis_digest():
+    """sha256 over the radical rows, central and primitive idempotents and
+    simple-module rows of GF(101) semi B(2,3) and Q B(1,3).  The pinned
+    value was recorded with the per-entry quotient and the Horner split;
+    sympy's factor order fixes the order of the idempotents."""
+    h = hashlib.sha256()
+    for A in (build_algebra(3, semi_parameters()),
+              build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True))):
+        rad = radical(A)
+        rep = wedderburn(A, rad)
+        payload = [rad, [sorted(eps.items()) for eps in rep._central_idempotents],
+                   [sorted(info.idempotent.items()) for info in rep.block_info],
+                   [M.rows for M in simple_modules(A, rep)]]
+        h.update(repr(payload).encode())
+    return h.hexdigest()
+
+
+def test_analysis_outputs_are_pinned():
+    assert _analysis_digest() == (
+        "4e3f8f266395949ba4893b1eb6c5a9a4eeb48d81f2df9d230bf0e523db74ea95")
