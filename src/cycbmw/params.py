@@ -315,6 +315,8 @@ def parse_parameter_file(text: str) -> ParameterSet:
         key = key.strip().lower()
         if key not in _PARAMETER_KEYS:
             raise ParameterError(f"line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ParameterError(f"line {lineno}: repeated key {key!r}")
         entries[key] = val.strip()
     missing = {"field", "q", "rho", "u"} - set(entries)
     if missing:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,9 +40,6 @@ def double_factorial_odd(n: int) -> int:
 
 
 def default_degree_cap(n: int, r: int) -> int:
-    env = os.environ.get("BMW_DEGREE_CAP")
-    if env:
-        return int(env)
     return 4 * n + 2 * r
 
 
@@ -235,45 +231,47 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
 
 # -- the algebra object ---------------------------------------------------------
 
-def table_entries(rows: List[list]) -> List[tuple]:
-    """Dense coordinate rows (lists of raw values) as product-table entries:
-    the (k, c) pairs with c nonzero, in order of k."""
-    return [tuple((k, c) for k, c in enumerate(row) if c) for row in rows]
+def _runs(start: np.ndarray, rows: np.ndarray):
+    """(positions, lengths): the runs start[r]:start[r+1] of every r in
+    `rows`, concatenated, and the length of each run."""
+    lo, n = start[rows], start[rows + 1] - start[rows]
+    # position t of row r's run is lo[r] + t: offsets within the
+    # concatenated runs, shifted by each run's start
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), n
 
 
 class StructureAlgebra:
     """Finite-dimensional algebra with an explicit basis and exact products.
 
+    The product table is the sparse structure constants b_i b_j = sum_k C b_k
+    (`structure_constants`), gathered from its columns: `_table[j]` holds
+    the arrays (I, K, C) of the products b_i b_j in (i, k) order, C in the
+    field's array dtype (`linalg.dtype_for`).  `mul`, `right_matrix` and
+    `left_matrix` are each one gather-scatter over the constants.
+
     Two births: from a completed rewriting system (basis = irreducible
-    words) or from a complete multiplication table (quotients, and through
-    `from_rows` corners and the center algebra).  A word-born table starts
-    empty: `product(i, j)` fills one entry, `materialize()` all of them.
+    words), whose columns `materialize()` fills, or with every column
+    filled, from a product table (`from_table`: loaded dumps) or from right
+    multiplication matrices (`from_columns`: quotients, and through
+    `from_rows` corners and the center algebra).
 
     A word-born algebra never reduces a concatenation b_i b_j.  Its basis
     is prefix-closed (every factor of an irreducible word is irreducible),
-    so b_j = b_parent(j) g for the last letter g of b_j, and
-    b_i b_j = (b_i b_parent(j)) g.  The memoized table is the prefix tree
-    of that recursion, and only the right generator actions NF(b_k g),
-    dim x #gens of them, are reduced, each once.  Normal forms in a
-    confluent system are unique, so the table equals the normal forms of
-    the concatenations entry for entry.
-
-    Element arithmetic runs on the sparse structure constants, derived
-    from the full table on first use: index arrays (i, j, k) sorted by i
-    and the nonzero constants in the field's array dtype (`linalg.dtype_for`).
-    `mul`, `right_matrix` and `left_matrix` are each one gather-scatter
-    over the constants whose coefficients are nonzero, over every field.
+    so b_j = b_parent(j) g for the last letter g of b_j, and column j is
+    column parent(j) times the right action of g.  Only those actions
+    NF(b_k g), dim x #gens of them, are reduced, each once.  Normal forms
+    in a confluent system are unique, so the table equals the normal forms
+    of the concatenations entry for entry.
     """
 
     def __init__(self, field: Field, dim: int, unit_coords: Dict[int, object],
-                 labels: List[str], mul_provider=None, gens: Optional[Dict[str, dict]] = None,
+                 labels: Optional[List[str]], gens: Optional[Dict[str, dict]] = None,
                  meta: Optional[dict] = None):
         self.field = field
         self.dim = dim
         self.unit_coords = unit_coords
-        self.labels = labels
-        self._mul_provider = mul_provider
-        self._table: Dict[Tuple[int, int], tuple] = {}
+        self.labels = labels or [f"b{i}" for i in range(dim)]
+        self._table: List[tuple] = []   # the filled columns (I, K, C), in order of j
         self.gens = gens or {}
         self.meta = meta or {}
         self._constants = None   # sparse structure constants, see structure_constants
@@ -291,29 +289,8 @@ class StructureAlgebra:
     def from_rewriting(cls, field: Field, rules: RewriteSystem, words: List[bytes],
                        n: int, params: ParameterSet, variant: str, meta: dict):
         index = {w: i for i, w in enumerate(words)}
-        # memo of the right generator actions NF(words[k] g), keyed (k, g)
-        actions: Dict[Tuple[int, int], tuple] = {}
-        mul, add = field.mul, field.add
-
-        def provider(i: int, j: int):
-            # the basis is prefix-closed, so b_j = b_parent(j) g
-            w = words[j]
-            if not w:
-                return ((i, field.one()),)
-            g = w[-1]
-            acc: Dict[int, object] = {}
-            for k, c in alg.product(i, index[w[:-1]]):
-                t = actions.get((k, g))
-                if t is None:
-                    red = rules.reduce_word(words[k] + w[-1:])
-                    t = actions[(k, g)] = tuple(sorted((index[v], d) for v, d in red.items()))
-                for m, d in t:
-                    v = mul(c, d)
-                    acc[m] = add(acc[m], v) if m in acc else v
-            return tuple((m, acc[m]) for m in sorted(acc) if acc[m])
-
-        alg = cls(field, len(words), {0: field.one()},
-                  [word_str(w, n) for w in words], provider, meta=meta)
+        alg = cls(field, len(words), {0: field.one()}, [word_str(w, n) for w in words],
+                  meta=meta)
         alg.rules = rules
         alg.words = words
         alg.word_index = index
@@ -331,11 +308,27 @@ class StructureAlgebra:
     def from_table(cls, field: Field, table: Dict[Tuple[int, int], tuple], dim: int,
                    unit_coords: Dict[int, object], labels: Optional[List[str]] = None,
                    gens: Optional[Dict[str, dict]] = None, meta: Optional[dict] = None):
+        """The algebra with products table[(i, j)] = ((k, c), ...)."""
         if len(table) != dim * dim:
             raise BuildError("product table is incomplete")
-        alg = cls(field, dim, unit_coords, labels or [f"b{i}" for i in range(dim)],
-                  gens=gens, meta=meta)
-        alg._table = dict(table)
+        alg = cls(field, dim, unit_coords, labels, gens=gens, meta=meta)
+        for j in range(dim):
+            entries = [(i, k, c) for i in range(dim) for k, c in table[(i, j)]]
+            I, K = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
+            alg._table.append((I, K, as_array([e[2] for e in entries], field.p)))
+        return alg
+
+    @classmethod
+    def from_columns(cls, field: Field, columns: list,
+                     unit_coords: Dict[int, object], labels: Optional[List[str]],
+                     gens: Optional[Dict[str, dict]], meta: dict):
+        """The algebra whose right multiplication by b_j is columns[j]:
+        row i of it holds the coordinates of b_i b_j."""
+        alg = cls(field, len(columns), unit_coords, labels, gens=gens, meta=meta)
+        for column in columns:
+            column = as_array(column, field.p)
+            I, K = np.nonzero(column)
+            alg._table.append((I, K, column[I, K]))
         return alg
 
     @classmethod
@@ -347,65 +340,72 @@ class StructureAlgebra:
         m = A.field.p
         basis, R = RowBasis(rows, A.field), as_array(rows, m)
 
-        def coords(vecs) -> List[tuple]:
+        def coords(vecs) -> list:
             x = basis.coords(vecs)
             if x is None:
                 raise BuildError("rows do not span a subalgebra")
-            return table_entries(x)
+            return x
 
-        table = {}
-        for b, row in enumerate(rows):
-            for a, prod in enumerate(coords(matmul_mod(R, A.right_matrix(A.sparse(row)), m))):
-                table[(a, b)] = prod
-        return cls.from_table(A.field, table, len(rows), dict(coords([A.dense(unit)])[0]),
-                              labels=labels, meta={"parent_dim": A.dim, "parent_rows": rows})
+        columns = [coords(matmul_mod(R, A.right_matrix(A.sparse(row)), m)) for row in rows]
+        return cls.from_columns(A.field, columns, A.sparse(coords([A.dense(unit)])[0]), labels,
+                                gens=None, meta={"parent_dim": A.dim, "parent_rows": rows})
 
     def materialize(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if (i, j) not in self._table:
-                    self._table[(i, j)] = self._mul_provider(i, j)
+        """Fill the columns a word-born table lacks, in basis order."""
+        if len(self._table) == self.dim:
+            return
+        m, dim = self.field.p, self.dim
+        actions = []   # per generator g, row k = NF(b_k g) at start[k]:start[k + 1]
+        for g in range(gen_count(self.n)):
+            rows = [self.nf_word(w + bytes((g,))) for w in self.words]
+            actions.append((np.cumsum([0] + [len(row) for row in rows]),
+                            np.array([k for row in rows for k in row], dtype=np.int64),
+                            as_array([c for row in rows for c in row.values()], m)))
+        for w in self.words[len(self._table):]:
+            if not w:
+                unit = np.arange(dim)
+                self._table.append((unit, unit, as_array([self.field.one()] * dim, m)))
+                continue
+            # column parent(j) times the action of g: gather, then add up
+            # the terms with equal (i, k)
+            I, K, C = self._table[self.word_index[w[:-1]]]
+            start, AK, AC = actions[w[-1]]
+            pos, n = _runs(start, K)
+            keys, slot = np.unique(np.repeat(I, n) * dim + AK[pos], return_inverse=True)
+            sums = scatter_add(slot, reduce_mod(np.repeat(C, n) * AC[pos], m), len(keys), m)
+            nz = np.flatnonzero(sums)
+            self._table.append((keys[nz] // dim, keys[nz] % dim, sums[nz]))
 
     # -- arithmetic ------------------------------------------------------------
 
     def product(self, i: int, j: int) -> tuple:
-        t = self._table.get((i, j))
-        if t is None:
-            t = self._mul_provider(i, j)
-            self._table[(i, j)] = t
-        return t
+        """b_i b_j as (k, c) pairs in order of k."""
+        _, J, K, C, start = self.structure_constants()
+        lo = start[i]
+        a, b = lo + np.searchsorted(J[lo:start[i + 1]], [j, j + 1])
+        return tuple(zip(K[a:b].tolist(), C[a:b].tolist()))
 
     def structure_constants(self):
         """(I, J, K, C, start): the nonzero structure constants
-        b_i b_j = sum_k C b_k as parallel arrays sorted by i, with the
-        entries of row i at start[i]:start[i+1].  Derived from the full
-        table on first use, which materializes it."""
+        b_i b_j = sum_k C b_k as parallel arrays sorted by (i, j, k), with
+        the entries of row i at start[i]:start[i+1].  Gathered from the
+        full table on first use, which materializes it."""
         if self._constants is None:
             self.materialize()
-            ijk, vals = [], []
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    for k, c in self._table[(i, j)]:
-                        ijk.append((i, j, k))
-                        vals.append(c)
-            I, J, K = np.array(ijk, dtype=np.int64).reshape(-1, 3).T
+            I, K, C = (np.concatenate(parts) for parts in zip(*self._table))
+            J = np.repeat(np.arange(self.dim), [len(col[0]) for col in self._table])
+            # the columns come in order of j, each in (i, k) order
+            order = np.argsort(I, kind="stable")
+            I, J, K, C = I[order], J[order], K[order], C[order]
             start = np.searchsorted(I, np.arange(self.dim + 1))
-            self._constants = (I, J, K, as_array(vals, self.field.p), start)
+            self._constants = (I, J, K, C, start)
         return self._constants
 
-    def _gather(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of the structure constants whose i is in `rows`."""
-        start = self.structure_constants()[4]
-        lo, n = start[rows], start[rows + 1] - start[rows]
-        # position t of row r's run is lo[r] + t: offsets within the
-        # concatenated runs, shifted by each run's start
-        return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-
     def mul(self, a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-        I, J, K, C, _ = self.structure_constants()
+        I, J, K, C, start = self.structure_constants()
         m = self.field.p
         va, vb = self.dense(a), self.dense(b)
-        sel = self._gather(np.flatnonzero(va))
+        sel = _runs(start, np.flatnonzero(va))[0]
         sel = sel[np.flatnonzero(vb[J[sel]])]
         vals = reduce_mod(reduce_mod(va[I[sel]] * vb[J[sel]], m) * C[sel], m)
         return self.sparse(scatter_add(K[sel], vals, self.dim, m))
@@ -422,9 +422,9 @@ class StructureAlgebra:
 
     def left_matrix(self, a: Dict[int, object]) -> np.ndarray:
         """Matrix of left multiplication by a: row j = coordinates of a b_j."""
-        I, J, K, C, _ = self.structure_constants()
+        I, J, K, C, start = self.structure_constants()
         va = self.dense(a)
-        sel = self._gather(np.flatnonzero(va))
+        sel = _runs(start, np.flatnonzero(va))[0]
         m = self.field.p
         vals = reduce_mod(va[I[sel]] * C[sel], m)
         return scatter_add(J[sel] * self.dim + K[sel], vals, self.dim**2, m).reshape(
@@ -712,12 +712,13 @@ def dump_algebra(A: StructureAlgebra) -> dict:
     if p is None:
         raise BuildError("dump needs an algebra built or loaded with its parameters")
     f = A.field
-    A.materialize()
-    products = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            entries = [[k, f.render(c)] for k, c in A.product(i, j)]
-            products.append([i, j, entries])
+    I, J, K, C, _ = A.structure_constants()
+    # the constants are sorted by (i, j): the entries of b_i b_j, with
+    # t = i dim + j, lie at bounds[t]:bounds[t + 1]
+    bounds = np.searchsorted(I * A.dim + J, np.arange(A.dim**2 + 1)).tolist()
+    entries = [[k, f.render(c)] for k, c in zip(K.tolist(), C.tolist())]
+    products = [[t // A.dim, t % A.dim, entries[lo:hi]]
+                for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     params_blob = {
         "q": str(p.q),
         "rho": str(p.rho),
@@ -754,9 +755,12 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         dim = len(labels)
         table = {}
         for i, j, entries in blob["products"]:
-            table[(int(i), int(j))] = tuple(
-                (int(k), field.parse(c)) for k, c in entries)
+            table[(i, j)] = tuple((k, field.parse(c)) for k, c in entries)
         index = [x for key in table for x in key] + [k for t in table.values() for k, _ in t]
+        # JSON integers only: a float, bool or string index is corruption
+        bad = [x for x in index if type(x) is not int]
+        if bad:
+            raise ValueError(f"product index {bad[0]!r} is not an integer")
         if index and not 0 <= min(index) <= max(index) < dim:
             raise ValueError(f"a product index lies outside range({dim})")
         unit = {labels.index("1"): field.one()}

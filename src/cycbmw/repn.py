@@ -38,7 +38,7 @@ import sympy
 from .fields import Field, PRIME_FIELD
 from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_mod,
                      nullspace, reduce_mod, scatter_add)
-from .presentation import StructureAlgebra, ideal_span, table_entries
+from .presentation import StructureAlgebra, ideal_span
 
 DEFAULT_SEED = 20260801
 _SPLIT_TRIES = 60     # seeded random corner elements per primitive-idempotent round
@@ -159,17 +159,11 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientDa
         return A.sparse(quotient_coords(A.dense(coords)))
 
     # column b: row i = complement[a] of R_{b_j}, j = complement[b], is b_i b_j
-    table = {}
-    dim = len(complement)
-    for b, j in enumerate(complement):
-        column = quotient_coords(A.right_matrix({j: f.one()})[complement]).tolist()
-        for a, prod in enumerate(table_entries(column)):
-            table[(a, b)] = prod
-    unit = project(A.unit())
+    columns = [quotient_coords(A.right_matrix({j: f.one()})[complement]) for j in complement]
     gens = {name: project(coords) for name, coords in A.gens.items()}
-    S = StructureAlgebra.from_table(f, table, dim, unit,
-                                    labels=[A.labels[j] for j in complement],
-                                    gens=gens, meta={"quotient_of": A.meta.get("n")})
+    S = StructureAlgebra.from_columns(f, columns, project(A.unit()),
+                                      [A.labels[j] for j in complement], gens,
+                                      {"quotient_of": A.meta.get("n")})
     return QuotientData(S, project, complement)
 
 

@@ -197,7 +197,7 @@ def complete(equations, field: Field, degree_cap: int,
         if len(lead) > degree_cap:
             raise CompletionError(
                 f"completion needs a rule of degree {len(lead)} > cap {degree_cap}; "
-                f"raise the cap (BMW_DEGREE_CAP or --degree-cap)", stats)
+                f"raise the cap (--degree-cap)", stats)
         stats.rules_added += 1
         if stats.rules_added + stats.rules_removed > max_rule_events:
             raise CompletionError("completion did not stabilize (rule event budget)", stats)

@@ -182,7 +182,8 @@ def test_parameter_file_errors():
     ("admissible = ture", "admissible must be one of"),
     ("admissable = true", "unknown key 'admissable'"),
     ("omegas = 1", "unknown key 'omegas'"),
-], ids=["flag-typo", "key-typo", "plural-key"])
+    ("q = 3", "line 5: repeated key 'q'"),
+], ids=["flag-typo", "key-typo", "plural-key", "repeated-key"])
 def test_parameter_file_rejects_bad_input(line, match):
     with pytest.raises(ParameterError, match=match):
         parse_parameter_file(f"field = q\nq = 2\nrho = 1/3\nu = 3\n{line}\n")

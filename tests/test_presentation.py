@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cycbmw import presentation
@@ -316,23 +318,30 @@ TABLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("materialize", [True, False], ids=["materialized", "lazy"])
+@pytest.mark.parametrize("birth", ["materialized", "loaded"])
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))
-def test_generator_action_table_is_concatenation_nf(case, materialize):
+def test_generator_action_table_is_concatenation_nf(case, birth):
     A = TABLE_CASES[case]()
     # nothing fills the table before it is read
     assert not A._table
-    if materialize:
+    if birth == "materialized":
         A.materialize()
-        assert len(A._table) == A.dim ** 2
-    # descending, so the on-demand path recurses into prefixes it has not seen
-    for i in reversed(range(A.dim)):
-        for j in reversed(range(A.dim)):
-            assert A.product(i, j) == _concatenation_product(A, i, j), (i, j)
+        B = A
+    else:
+        # the dump renders the constants, and the load rebuilds them
+        B = load_algebra(json.loads(dumps_algebra(A)))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert B.product(i, j) == _concatenation_product(A, i, j), (i, j)
 
 
-def test_frontier_b33_products():
-    A = build_algebra(3, generic(3))
+@pytest.fixture(scope="module")
+def b33():
+    return build_algebra(3, generic(3))
+
+
+def test_frontier_b33_products(b33):
+    A = b33
     assert A.dim == 405
     # pruning composite overlaps moves only the main loop's checked count
     stats = A.meta["completion"]
@@ -343,6 +352,18 @@ def test_frontier_b33_products():
     for _ in range(200):
         i, j = rng.randrange(A.dim), rng.randrange(A.dim)
         assert A.product(i, j) == _concatenation_product(A, i, j), (i, j)
+
+
+def test_frontier_b33_table_digest(b33):
+    # all 164,025 products: sha256 over the int64 bytes of I, J, K and C,
+    # recorded when the table was still filled one entry at a time
+    I, J, K, C, start = b33.structure_constants()
+    assert len(C) == 4_860_364 and start[-1] == len(C)
+    digest = hashlib.sha256()
+    for a in (I, J, K, C):
+        digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == \
+        "4fb19013560b1b691d23df6c2a0b29e8de4a1e4538e5ef0cb8ef2a50a70f8495"
 
 
 def test_probe_completion_is_reused(monkeypatch):
@@ -431,11 +452,25 @@ def test_load_rejects_out_of_range_index(corrupt):
         load_algebra(blob)
 
 
+@pytest.mark.parametrize("k", [1.7, True, "1"], ids=["float", "bool", "string"])
+def test_load_rejects_non_integer_index(k):
+    blob = json.loads(dumps_algebra(build_algebra(1, generic(3))))
+    entry = blob["products"][3]
+    assert entry[:2] == [1, 0] and entry[2][0][0] == 1
+    entry[2][0][0] = k
+    with pytest.raises(BuildError, match="corrupted algebra dump: .*is not an integer"):
+        load_algebra(blob)
+
+
 def test_degree_cap_env(monkeypatch):
-    monkeypatch.setenv("BMW_DEGREE_CAP", "17")
-    assert default_degree_cap(2, 1) == 17
-    monkeypatch.delenv("BMW_DEGREE_CAP")
+    # the cap is set by argument (--degree-cap) only: a starving value in
+    # the environment moves neither the default nor the orientation probe
+    monkeypatch.setenv("BMW_DEGREE_CAP", "3")
+    monkeypatch.setattr(presentation, "_probe_cache", {})
     assert default_degree_cap(2, 1) == 10
+    p = generic(1)
+    assert select_orientation13(p) == "x1"
+    assert presentation._probe_cache[(presentation._params_key(p), "bmw")][1] == 10
 
 
 def test_cap_too_small_raises():
