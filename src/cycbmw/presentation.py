@@ -23,7 +23,7 @@ from .fields import Field, FieldElement
 from .linalg import (EchelonSpan, RowBasis, as_array, matmul_mod, reduce_mod,
                      scatter_add, zeros)
 from .params import ParameterSet, omega
-from .rewriting import (CompletionError, RewriteSystem, complete,
+from .rewriting import (Basis, CompletionError, RewriteSystem, complete,
                         enumerate_irreducible_words)
 
 
@@ -259,9 +259,10 @@ class StructureAlgebra:
     is prefix-closed (every factor of an irreducible word is irreducible),
     so b_j = b_parent(j) g for the last letter g of b_j, and column j is
     column parent(j) times the right action of g.  Only those actions
-    NF(b_k g), dim x #gens of them, are reduced, each once.  Normal forms
-    in a confluent system are unique, so the table equals the normal forms
-    of the concatenations entry for entry.
+    NF(b_k g), dim x #gens of them, are reduced, each once, by the
+    completion's verification pass (`rewriting.Basis`).  Normal forms in
+    a confluent system are unique, so the table equals the normal forms of
+    the concatenations entry for entry.
     """
 
     def __init__(self, field: Field, dim: int, unit_coords: Dict[int, object],
@@ -277,6 +278,7 @@ class StructureAlgebra:
         self._constants = None   # sparse structure constants, see structure_constants
         # word-born extras, set by from_rewriting
         self.rules: Optional[RewriteSystem] = None
+        self.basis: Optional[Basis] = None
         self.words: Optional[List[bytes]] = None
         self.word_index: Optional[Dict[bytes, int]] = None
         self.n: Optional[int] = None
@@ -286,22 +288,20 @@ class StructureAlgebra:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_rewriting(cls, field: Field, rules: RewriteSystem, words: List[bytes],
+    def from_rewriting(cls, field: Field, rules: RewriteSystem, basis: Basis,
                        n: int, params: ParameterSet, variant: str, meta: dict):
-        index = {w: i for i, w in enumerate(words)}
+        words = basis.words
         alg = cls(field, len(words), {0: field.one()}, [word_str(w, n) for w in words],
                   meta=meta)
         alg.rules = rules
+        alg.basis = basis
         alg.words = words
-        alg.word_index = index
+        alg.word_index = basis.index
         alg.n = n
         alg.params = params
         alg.variant = variant
-        gens = {}
-        for gid in range(gen_count(n)):
-            red = rules.reduce_word(bytes((gid,)))
-            gens[gen_name(gid, n)] = {index[w]: c for w, c in red.items()}
-        alg.gens = gens
+        # the generator g is the action of g on the unit, words[0]
+        alg.gens = {gen_name(g, n): dict(act[0]) for g, act in enumerate(basis.actions)}
         return alg
 
     @classmethod
@@ -356,8 +356,7 @@ class StructureAlgebra:
             return
         m, dim = self.field.p, self.dim
         actions = []   # per generator g, row k = NF(b_k g) at start[k]:start[k + 1]
-        for g in range(gen_count(self.n)):
-            rows = [self.nf_word(w + bytes((g,))) for w in self.words]
+        for rows in self.basis.actions:
             actions.append((np.cumsum([0] + [len(row) for row in rows]),
                             np.array([k for row in rows for k in row], dtype=np.int64),
                             as_array([c for row in rows for c in row.values()], m)))
@@ -460,9 +459,9 @@ class StructureAlgebra:
             raise BuildError("operation needs a presentation-born algebra")
 
     def nf_word(self, w: bytes) -> Dict[int, object]:
+        """NF(w), walked from the unit through the generator actions."""
         self._need_words()
-        red = self.rules.reduce_word(w)
-        return {self.word_index[v]: c for v, c in red.items()}
+        return dict(self.basis.times(0, w, {}))
 
     def nf_element(self, elem: Dict[bytes, object]) -> Dict[int, object]:
         self._need_words()
@@ -499,7 +498,8 @@ def expected_dimension(p: ParameterSet, n: int, variant: str,
     return None, None
 
 
-# (parameters, variant) -> accepted probe (orientation, cap, rules, completion, words)
+# (parameters, variant) -> accepted probe (orientation, cap, rules, completion);
+# the rules carry the probe's basis and generator actions
 _probe_cache: Dict[tuple, tuple] = {}
 
 
@@ -542,7 +542,7 @@ def select_orientation13(p: ParameterSet, variant: str = "bmw") -> str:
                 last_error = f"{cand}: omega relations fail at {rep.failures}"
                 continue
         _probe_cache[key] = (cand, alg.meta["degree_cap"], alg.rules,
-                             alg.meta["completion"], alg.words)
+                             alg.meta["completion"])
         return cand
     raise BuildError(f"no relation-13 orientation validates: {last_error}")
 
@@ -558,16 +558,19 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
         orientation13 = "x1" if n == 1 else select_orientation13(p, variant=variant)
     probe = _probe_cache.get((_params_key(p), variant)) if n == 2 else None
     if probe is not None and probe[:2] == (orientation13, cap):
-        rules, completion, words = probe[2:]
+        rules, completion = probe[2:]
     else:
         eqs = canonical_relations(n, p, variant=variant, orientation13=orientation13)
         rules, stats = complete(eqs, p.field, cap)
         completion = stats.as_dict()
-        words = enumerate_irreducible_words(rules, gen_count(n), cap)
+    # completion leaves the basis on its system when the words are finite at
+    # the cap; otherwise the enumeration raises
+    basis = rules.basis or Basis(rules, enumerate_irreducible_words(rules, gen_count(n), cap),
+                                 gen_count(n))
     d = None
     if variant == "bmw" and not p.admissible and n >= 2:
         if n == 2:
-            d = _semi_degree_in_words(rules, words, p, 2)
+            d = _semi_degree_in_words(basis, p, 2)
         else:
             # a confluent n = 2 system is the same at any cap: use the probe's
             d = semi_admissibility_degree(p, orientation13=orientation13)
@@ -576,7 +579,7 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
         "n": n,
         "r": p.r,
         "variant": variant,
-        "dimension": len(words),
+        "dimension": len(basis.words),
         "expected_dimension": want,
         "expected_rule": rule_name,
         "relation13_orientation": orientation13,
@@ -585,22 +588,19 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
         "degree_cap": cap,
         "completion": dict(completion),
     }
-    return StructureAlgebra.from_rewriting(p.field, rules, words, n, p, variant, meta)
+    return StructureAlgebra.from_rewriting(p.field, rules, basis, n, p, variant, meta)
 
 
-def _semi_degree_in_words(rules: RewriteSystem, words: List[bytes],
-                          p: ParameterSet, n: int) -> int:
+def _semi_degree_in_words(basis: Basis, p: ParameterSet, n: int) -> int:
     """Rank profile of {e_1 x_1^k} against an already-enumerated basis."""
     f = p.field
     e1 = bytes((E(1, n),))
     x = bytes((X(n),))
-    index = {w: i for i, w in enumerate(words)}
-    span = EchelonSpan(f, len(words))
+    span = EchelonSpan(f, len(basis.words))
     for k in range(p.r + 1):
-        red = rules.reduce_word(e1 + x * k)
-        vec = [f.zero()] * len(words)
-        for w, c in red.items():
-            vec[index[w]] = c
+        vec = [f.zero()] * len(basis.words)
+        for i, c in basis.times(0, e1 + x * k, {}).items():
+            vec[i] = c
         if not span.insert(vec):
             return k
     return p.r
@@ -641,7 +641,7 @@ def semi_admissibility_degree(p: ParameterSet, degree_cap: Optional[int] = None,
     """Minimal d with {e_1, e_1 x_1, ..., e_1 x_1^d} dependent in the n = 2 quotient."""
     A = build_algebra(2, p, variant="bmw", degree_cap=degree_cap,
                       orientation13=orientation13)
-    return _semi_degree_in_words(A.rules, A.words, p, 2)
+    return _semi_degree_in_words(A.basis, p, 2)
 
 
 def ideal_span(A: StructureAlgebra, rows) -> EchelonSpan:

@@ -16,8 +16,24 @@ only prime superpositions need be considered (Kapur, Musser & Narendran
 smaller overlaps it forms were resolved first, because ambiguities are
 popped smallest word first.  On success a final verification pass
 re-checks every overlap of the finished system, skipped or not, so the
-diamond lemma applies unconditionally and never rests on the criterion:
-the irreducible words form an exact basis of the quotient.
+diamond lemma (Bergman 1978) applies unconditionally and never rests on
+the criterion: the irreducible words form an exact basis of the quotient.
+
+The verification walks each overlap through the basis' right actions.
+When the irreducible words are finite at the cap, the right action
+NF(b_k g) of each letter g on each basis word b_k is reduced once
+(`Basis`), and the two sides of an overlap a + b[ov:], (rhs of a) tail
+and head (rhs of b), are walked letter by letter through those rows.
+This is sound.  In a reduced system with canonical right-hand sides the
+head (a proper prefix of a), the tail (a proper suffix of b) and every
+rhs word are irreducible, so they are basis words.  A walk step replaces
+a term c b_k g by c NF(b_k g), so it lifts the chain of rewriting steps
+that reduced b_k g.  Each side is therefore joined by rewriting to its
+walked result, and equal results resolve the overlap.  When the words
+are infinite or truncated at the cap, each overlap is reduced from
+scratch instead; a finite enumeration holds every irreducible word, so
+the walk never needs a word outside it.  The words and actions stay on
+the finished system (`RewriteSystem.basis`) for the product table.
 
 Redexes are found by one compiled `re` alternation over all left-hand
 sides (deglex order, so the first match is leftmost, then shortest); it is
@@ -27,8 +43,9 @@ rebuilt lazily on the first search after a rule is added or removed.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
-from collections import deque
+from collections import defaultdict, deque
 
 from .fields import Field
 
@@ -56,14 +73,17 @@ class RewriteSystem:
         self.field = field
         self.rules: dict[bytes, dict[bytes, object]] = {}
         self._matcher = None     # compiled on demand, dropped on every rule event
+        # set by `complete` when the irreducible words are finite at its cap;
+        # dropped on every rule event
+        self.basis: Basis | None = None
 
     def add_rule(self, lhs: bytes, rhs: dict):
         self.rules[lhs] = rhs
-        self._matcher = None
+        self._matcher = self.basis = None
 
     def remove_rule(self, lhs: bytes):
         del self.rules[lhs]
-        self._matcher = None
+        self._matcher = self.basis = None
 
     def find_redex(self, w: bytes):
         """Leftmost (then shortest) match: (position, lhs) or None.
@@ -121,12 +141,130 @@ class RewriteSystem:
         return self.reduce({w: self.field.one()})
 
 
+def _lincomb(m: int, terms) -> dict:
+    """sum c v over the (c, v) in `terms`, v sparse {index: coeff}, with
+    raw coefficients: reduced mod m at the end (m = 0 is Q)."""
+    acc: dict = defaultdict(int)
+    for c, v in terms:
+        for i, d in v.items():
+            acc[i] += c * d
+    if m:
+        return {i: r for i, s in acc.items() if (r := s % m)}
+    return {i: s for i, s in acc.items() if s}
+
+
+class Basis:
+    """The irreducible words of a finished system, in deglex order, and the
+    right action of each letter on them: actions[g][k] = NF(words[k] g) as
+    {index: coeff}, each computed once.
+
+    The words must be every irreducible word (a finite, untruncated list).
+    The actions are filled in deglex order of the word b_k g.  b_k is
+    irreducible, so a redex of b_k g ends at g: b_k g = pre lhs, and
+    NF(b_k g) is NF(pre w) summed over the rhs words w of lhs, walked
+    through the actions of words b_j h <= pre w < b_k g, filled before it.
+    """
+
+    def __init__(self, rs: RewriteSystem, words: list, letters: int):
+        self.m, self.one = rs.field.p, rs.field.one()
+        self.words = words
+        self.index = index = {w: k for k, w in enumerate(words)}
+        self.actions: list = [[None] * len(words) for _ in range(letters)]
+        memo: dict = {}
+        # the words are in deglex order, so this visits b_k g in deglex order
+        for k, word in enumerate(words):
+            for g in range(letters):
+                wg = word + bytes((g,))
+                redex = rs.find_redex(wg)
+                if redex is None:
+                    row = {index[wg]: self.one}
+                else:
+                    pre = index[wg[:redex[0]]]
+                    row = _lincomb(self.m, ((c, self.times(pre, w, memo))
+                                            for w, c in rs.rules[redex[1]].items()))
+                self.actions[g][k] = row
+
+    def times(self, k: int, u: bytes, memo: dict) -> dict:
+        """NF(words[k] u) as {index: coeff}, walked through the actions:
+        NF(b_k u) = sum_j c_j NF(b_j u[1:]) over NF(b_k u[0]) = sum_j c_j b_j.
+        `memo` keeps every (k, suffix of u) of two or more letters that it
+        passes; the result is shared with it or with the actions, not a
+        copy."""
+        if len(u) < 2:
+            return self.actions[u[0]][k] if u else {k: self.one}
+        key = (k, u)
+        out = memo.get(key)
+        if out is None:
+            rest = u[1:]
+            out = memo[key] = _lincomb(self.m, ((c, self.times(j, rest, memo))
+                                                for j, c in self.actions[u[0]][k].items()))
+        return out
+
+
+def _finite_basis(rs: RewriteSystem, degree_cap: int):
+    """The Basis of a reduced system over the letters of its rules, or None
+    when its irreducible words are not finite at the cap."""
+    if not rs.rules:
+        return None
+    letters = 1 + max(max(w) for lhs, rhs in rs.rules.items() for w in (lhs, *rhs) if w)
+    try:
+        words = enumerate_irreducible_words(rs, letters, degree_cap)
+    except CompletionError:
+        return None
+    return Basis(rs, words, letters)
+
+
 def _overlaps(a: bytes, b: bytes):
     """Proper overlaps: suffix of a == prefix of b, shorter than both."""
     top = min(len(a), len(b))
     for ov in range(1, top):
         if a[-ov:] == b[:ov]:
             yield ov
+
+
+def _s_element(rs: RewriteSystem, a: bytes, b: bytes, ov: int) -> dict:
+    """The ambiguity word a + b[ov:] rewritten two ways: (rhs a) tail - head (rhs b)."""
+    field = rs.field
+    tail = b[ov:]
+    head = a[:len(a) - ov]
+    left = {}
+    for w, c in rs.rules[a].items():
+        left[w + tail] = c
+    for w, c in rs.rules[b].items():
+        nw = head + w
+        if nw in left:
+            s = field.sub(left[nw], c)
+            if s:
+                left[nw] = s
+            else:
+                del left[nw]
+        else:
+            left[nw] = field.neg(c)
+    return left
+
+
+def overlap_differences(rs: RewriteSystem, basis: Basis | None = None):
+    """Yield (a, b, ov, d) for every overlap of the rules, in deglex order
+    of (a, b): d is the difference of the overlap's two sides, as an
+    element on words, after reduction; the overlap resolves iff d = {}.
+
+    With a Basis of the (reduced, canonical) system, both sides are walked
+    through its actions, sharing one memo over (k, suffix) that lives as
+    long as the generator; without one, each S-element is reduced.
+    """
+    lhss = sorted(rs.rules, key=deglex_key)
+    pairs = ((a, b, ov) for a in lhss for b in lhss for ov in _overlaps(a, b))
+    if basis is None:
+        for a, b, ov in pairs:
+            yield a, b, ov, rs.reduce(_s_element(rs, a, b, ov))
+        return
+    index, words, memo = basis.index, basis.words, {}
+    for a, b, ov in pairs:
+        tail, head = b[ov:], index[a[:len(a) - ov]]
+        left = ((c, basis.times(index[w], tail, memo)) for w, c in rs.rules[a].items())
+        right = ((-c, basis.times(head, w, memo)) for w, c in rs.rules[b].items())
+        d = _lincomb(basis.m, itertools.chain(left, right))
+        yield a, b, ov, {words[i]: c for i, c in d.items()}
 
 
 def _interior_redex(rs: RewriteSystem, w: bytes) -> bool:
@@ -168,6 +306,16 @@ def complete(equations, field: Field, degree_cap: int,
     inside: with reduced rules and a smallest-first heap, the two smaller
     overlaps that redex forms were resolved first.  The verification pass
     still checks every overlap and sends its failures back into the loop.
+
+    It checks them through the basis' right actions when the irreducible
+    words over the letters of the rules are finite at `degree_cap`: the
+    head, the tail and every rhs word of an overlap are basis words of the
+    reduced system, and each walk step lifts the rewriting chain that
+    reduced NF(b_k g), so equal walked sides prove the overlap joinable
+    (see the module docstring).  Otherwise -- words infinite or truncated
+    at the cap -- it reduces each overlap's S-element from scratch.  On
+    success the words and actions are left on the system as `rs.basis`
+    (None in the fallback case).
     """
     rs = RewriteSystem(field)
     stats = CompletionStats()
@@ -217,25 +365,6 @@ def complete(equations, field: Field, degree_cap: int,
         rs.add_rule(lead, rhs)
         queue_overlaps(lead)
 
-    def s_element(a: bytes, b: bytes, ov: int):
-        # ambiguity word a + b[ov:] reduced two ways
-        tail = b[ov:]
-        head = a[:len(a) - ov]
-        left = {}
-        for w, c in rs.rules[a].items():
-            left[w + tail] = c
-        for w, c in rs.rules[b].items():
-            nw = head + w
-            if nw in left:
-                s = field.sub(left[nw], c)
-                if s:
-                    left[nw] = s
-                else:
-                    del left[nw]
-            else:
-                left[nw] = field.neg(c)
-        return left
-
     while True:
         stats.passes += 1
         while pending or amb:
@@ -249,7 +378,7 @@ def complete(equations, field: Field, degree_cap: int,
                     stats.ambiguities_pruned += 1
                     continue
                 stats.ambiguities_checked += 1
-                s = rs.reduce(s_element(a, b, ov))
+                s = rs.reduce(_s_element(rs, a, b, ov))
                 if s:
                     pending.append(s)
         # canonicalize right-hand sides against the final rules
@@ -259,16 +388,14 @@ def complete(equations, field: Field, degree_cap: int,
             if red != rhs:
                 rs.rules[lhs] = red
         # verification: every overlap of the finished system must resolve
+        basis = _finite_basis(rs, degree_cap)
         failures = []
-        lhss = sorted(rs.rules, key=deglex_key)
-        for a in lhss:
-            for b in lhss:
-                for ov in _overlaps(a, b):
-                    stats.verification_ambiguities += 1
-                    s = rs.reduce(s_element(a, b, ov))
-                    if s:
-                        failures.append(s)
+        for _, _, _, s in overlap_differences(rs, basis):
+            stats.verification_ambiguities += 1
+            if s:
+                failures.append(s)
         if not failures:
+            rs.basis = basis
             return rs, stats
         pending.extend(failures)
 

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cycbmw import presentation
+from cycbmw import presentation, rewriting
 from cycbmw.fields import GF, QQ
 from cycbmw.linalg import RowBasis
 from cycbmw.params import ParameterSet, omega
@@ -15,7 +16,7 @@ from cycbmw.presentation import (BuildError, E, G, X, StructureAlgebra, build_al
                                  dumps_algebra, ideal_generated_by, load_algebra,
                                  select_orientation13, semi_admissibility_degree,
                                  truncation_idempotent, word_str)
-from cycbmw.rewriting import CompletionError, complete
+from cycbmw.rewriting import CompletionError, RewriteSystem, complete
 
 F = GF(101)
 Q2 = F(2)
@@ -397,6 +398,43 @@ def test_probe_completion_is_reused(monkeypatch):
     caps.clear()
     build_algebra(3, semi_21(), degree_cap=16)
     assert caps == [12, 16]
+
+
+def _count_action_reductions(monkeypatch):
+    """Counter of (system, word): each right action b_k g that a `Basis`
+    computes, and each word that `reduce_word` reduces."""
+    counts = Counter()
+    init, reduce_word = rewriting.Basis.__init__, RewriteSystem.reduce_word
+
+    def counting_init(basis, rs, words, letters):
+        init(basis, rs, words, letters)
+        counts.update((rs, w + bytes((g,))) for w in words for g in range(letters))
+
+    def counting_reduce_word(rs, w):
+        counts[(rs, w)] += 1
+        return reduce_word(rs, w)
+
+    monkeypatch.setattr(rewriting.Basis, "__init__", counting_init)
+    monkeypatch.setattr(RewriteSystem, "reduce_word", counting_reduce_word)
+    return counts
+
+
+def test_each_generator_action_is_reduced_once(monkeypatch):
+    monkeypatch.setattr(presentation, "_probe_cache", {})
+    counts = _count_action_reductions(monkeypatch)
+    A = build_algebra(3, generic(1))
+    A.structure_constants()
+    # all dim x #gens actions b_k g of the n = 3 system are computed, and
+    # nothing is computed twice on it or on the probe's n = 2 system
+    actions = [(A.rules, w + bytes((g,))) for w in A.words for g in range(5)]
+    assert all(counts[key] == 1 for key in actions)
+    assert max(counts.values()) == 1
+    # an n = 2 build served from the probe cache reuses the probe's actions
+    counts.clear()
+    B = build_algebra(2, generic(1))
+    B.structure_constants()
+    assert not counts
+    assert B.basis is presentation._probe_cache[(presentation._params_key(generic(1)), "bmw")][2].basis
 
 
 @pytest.mark.parametrize("n,params,variant", [

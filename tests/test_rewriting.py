@@ -12,8 +12,9 @@ from cycbmw.fields import GF, QQ
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import (canonical_relations, default_degree_cap,
                                  select_orientation13)
-from cycbmw.rewriting import (CompletionError, RewriteSystem, complete,
-                              deglex_key, enumerate_irreducible_words)
+from cycbmw.rewriting import (Basis, CompletionError, RewriteSystem, complete,
+                              deglex_key, enumerate_irreducible_words,
+                              overlap_differences)
 
 
 def test_deglex_order():
@@ -168,6 +169,70 @@ def test_verification_pass_certifies_when_every_pair_is_skipped(case, monkeypatc
     assert rs.rules == ref.rules
     assert stats.ambiguities_checked == 0 and stats.ambiguities_pruned > 0
     assert stats.passes > 1
+
+
+# -- verification through the basis' right actions ----------------------------------
+
+@pytest.mark.parametrize("case", sorted(SYSTEMS))
+def test_walk_and_reduction_resolve_every_overlap(case):
+    eqs, field, cap = SYSTEMS[case]()
+    rs, stats = complete(eqs, field, cap)
+    assert rs.basis is not None
+    walked = list(overlap_differences(rs, rs.basis))
+    reduced = list(overlap_differences(rs))
+    assert [t[:3] for t in walked] == [t[:3] for t in reduced]
+    assert len(walked) == stats.verification_ambiguities
+    assert not any(t[3] for t in walked) and not any(t[3] for t in reduced)
+
+
+def test_walk_flags_the_overlaps_reduction_flags():
+    # dropping one rhs term breaks confluence: the walk, through the actions
+    # of the broken rules, must fail on exactly the overlaps reduction fails on
+    eqs, field, cap = SYSTEMS["gf101_b13"]()
+    rs, _ = complete(eqs, field, cap)
+    lhs = max(rs.rules, key=lambda L: (len(rs.rules[L]), deglex_key(L)))
+    dropped = max(rs.rules[lhs], key=deglex_key)
+    broken = RewriteSystem(field)
+    for L, rhs in rs.rules.items():
+        broken.add_rule(L, {w: c for w, c in rhs.items() if (L, w) != (lhs, dropped)})
+    basis = Basis(broken, rs.basis.words, len(rs.basis.actions))
+    walked = [(a, b, ov, bool(d)) for a, b, ov, d in overlap_differences(broken, basis)]
+    reduced = [(a, b, ov, bool(d)) for a, b, ov, d in overlap_differences(broken)]
+    assert walked == reduced
+    assert 0 < sum(t[3] for t in walked) < len(walked)
+
+
+_X, _Y = b"\x00", b"\x01"
+_ONE = QQ.one()
+
+# x^3 = x next to a free letter y: the words x^j y^k (j < 3) are infinite at
+# any cap; rules and statistics are those of the per-overlap reduction
+INFINITE_SYSTEMS = {
+    "commuting": ([{_X * 3: _ONE, _X: -_ONE}, {_Y + _X: _ONE, _X + _Y: -_ONE}],
+                  {_X * 3: {_X: _ONE}, _Y + _X: {_X + _Y: _ONE}},
+                  {"rules_added": 2, "rules_removed": 0, "ambiguities_checked": 2,
+                   "ambiguities_pruned": 1, "verification_ambiguities": 3,
+                   "max_rule_degree": 3, "passes": 1}),
+    "xyx": ([{_X * 3: _ONE, _X: -_ONE}, {_X + _Y + _X: _ONE, _Y: -_ONE}],
+            {_X * 3: {_X: _ONE}, _X * 2 + _Y: {_Y: _ONE}, _Y + _X: {_X + _Y: _ONE}},
+            {"rules_added": 4, "rules_removed": 1, "ambiguities_checked": 7,
+             "ambiguities_pruned": 2, "verification_ambiguities": 7,
+             "max_rule_degree": 3, "passes": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE_SYSTEMS))
+def test_verification_falls_back_when_words_are_infinite(case, monkeypatch):
+    eqs, rules, statistics = INFINITE_SYSTEMS[case]
+
+    def no_walk(*args):
+        raise AssertionError("walked a system whose words are infinite")
+
+    monkeypatch.setattr(rewriting, "Basis", no_walk)
+    rs, stats = complete(eqs, QQ, degree_cap=8)
+    assert rs.basis is None
+    assert rs.rules == rules
+    assert stats.as_dict() == statistics
 
 
 # -- redex search against a brute-force scan ----------------------------------------
