@@ -4,14 +4,18 @@ Every matrix is a numpy array whose dtype follows one rule, `dtype_for`:
 int64 when residues modulo m can be multiplied and one more residue added
 without overflow, object (Python int or Fraction) otherwise, including Q
 (m = 0).  Over GF(p) every result is reduced with `% p`; over Q nothing is
-reduced.  Products go through `matmul_mod`, which splits int64 products
-along the inner dimension so that no partial sum overflows.  Everything is
+reduced, and every array a function returns holds reduced Fractions.
+Products go through `matmul_mod`, which splits int64 products along the
+inner dimension so that no partial sum overflows, and over Q multiplies
+integer numerators over one common denominator per operand
+(`fraction_free`), making one Fraction per result entry.  Everything is
 exact and deterministic: pivots are always the first nonzero column, rows
 keep insertion order semantics.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional
 
@@ -43,10 +47,30 @@ def as_array(rows, m: int) -> np.ndarray:
     return reduce_mod(np.array(rows, dtype=dtype_for(m)), m)
 
 
+def fraction_free(a: np.ndarray):
+    """(N, d): the rationals of a as an object array N of integer numerators
+    over one common denominator d, the lcm of their denominators."""
+    d = math.lcm(*(x.denominator for x in a.flat))
+    N = np.array([x.numerator * (d // x.denominator) for x in a.flat], dtype=object)
+    return N.reshape(a.shape), d
+
+
+def from_fraction_free(N: np.ndarray, d: int) -> np.ndarray:
+    """The array of reduced Fractions N / d, one gcd per nonzero entry."""
+    zero = Fraction(0)
+    return np.array([Fraction(x, d) if x else zero for x in N.flat],
+                    dtype=object).reshape(N.shape)
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """a @ b reduced mod m; a may be a vector.  In int64 the inner dimension
     is split so that no partial sum overflows:
-    acc + chunk*(m-1)^2 <= m - 1 + (2^63 - m) < 2^63."""
+    acc + chunk*(m-1)^2 <= m - 1 + (2^63 - m) < 2^63.  Over Q the integer
+    numerators of a and b are multiplied and each entry divided by the
+    product of the two common denominators once."""
+    if not m:
+        (na, da), (nb, db) = fraction_free(a), fraction_free(b)
+        return from_fraction_free(na @ nb, da * db)
     if dtype_for(m) is object:
         return reduce_mod(a @ b, m)
     chunk = max(1, (2**63 - m) // (m - 1) ** 2)

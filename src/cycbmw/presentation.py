@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .fields import Field, FieldElement
-from .linalg import (EchelonSpan, RowBasis, as_array, matmul_mod, reduce_mod,
-                     scatter_add, zeros)
+from .linalg import (EchelonSpan, RowBasis, as_array, fraction_free, from_fraction_free,
+                     matmul_mod, reduce_mod, scatter_add, zeros)
 from .params import ParameterSet, omega
 from .rewriting import (Basis, CompletionError, RewriteSystem, complete,
                         enumerate_irreducible_words)
@@ -247,7 +247,11 @@ class StructureAlgebra:
     (`structure_constants`), gathered from its columns: `_table[j]` holds
     the arrays (I, K, C) of the products b_i b_j in (i, k) order, C in the
     field's array dtype (`linalg.dtype_for`).  `mul`, `right_matrix` and
-    `left_matrix` are each one gather-scatter over the constants.
+    `left_matrix` are each one gather-scatter over the constants
+    (`_gather`).  Over Q, C and every array the algebra hands out hold
+    reduced Fractions, but the gather multiplies integer numerators: those
+    of C over their common denominator (made once, on the first gather)
+    times those of its operands, with one Fraction made per output entry.
 
     Two births: from a completed rewriting system (basis = irreducible
     words), whose columns `materialize()` fills, or with every column
@@ -276,6 +280,7 @@ class StructureAlgebra:
         self.gens = gens or {}
         self.meta = meta or {}
         self._constants = None   # sparse structure constants, see structure_constants
+        self._numerators = None  # over Q: C as (integer numerators, common denominator)
         # word-born extras, set by from_rewriting
         self.rules: Optional[RewriteSystem] = None
         self.basis: Optional[Basis] = None
@@ -400,34 +405,49 @@ class StructureAlgebra:
             self._constants = (I, J, K, C, start)
         return self._constants
 
-    def mul(self, a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-        I, J, K, C, start = self.structure_constants()
+    def _gather(self, sel: np.ndarray, factors: list, slots: np.ndarray,
+                size: int) -> np.ndarray:
+        """Vector of length `size` holding at slots[t] the sum of the terms
+        C[sel[t]] * v[pos[t]] over every (v, pos) in `factors`."""
         m = self.field.p
+        if m:
+            vals = self.structure_constants()[3][sel]
+            for v, pos in factors:
+                vals = reduce_mod(v[pos] * vals, m)
+            return scatter_add(slots, vals, size, m)
+        if self._numerators is None:
+            self._numerators = fraction_free(self.structure_constants()[3])
+        vals, d = self._numerators
+        vals = vals[sel]
+        for v, pos in factors:
+            nv, dv = fraction_free(v)
+            vals, d = vals * nv[pos], d * dv
+        out = np.zeros(size, dtype=object)
+        np.add.at(out, slots, vals)
+        return from_fraction_free(out, d)
+
+    def mul(self, a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
+        I, J, K, _, start = self.structure_constants()
         va, vb = self.dense(a), self.dense(b)
         sel = _runs(start, np.flatnonzero(va))[0]
-        sel = sel[np.flatnonzero(vb[J[sel]])]
-        vals = reduce_mod(reduce_mod(va[I[sel]] * vb[J[sel]], m) * C[sel], m)
-        return self.sparse(scatter_add(K[sel], vals, self.dim, m))
+        sel = sel[vb.astype(bool)[J[sel]]]
+        return self.sparse(self._gather(sel, [(va, I[sel]), (vb, J[sel])], K[sel], self.dim))
 
     def right_matrix(self, x: Dict[int, object]) -> np.ndarray:
         """Matrix of right multiplication by x: row i = coordinates of b_i x."""
-        I, J, K, C, _ = self.structure_constants()
+        I, J, K, _, _ = self.structure_constants()
         vx = self.dense(x)
-        sel = np.flatnonzero(vx[J])
-        m = self.field.p
-        vals = reduce_mod(vx[J[sel]] * C[sel], m)
-        return scatter_add(I[sel] * self.dim + K[sel], vals, self.dim**2, m).reshape(
-            self.dim, self.dim)
+        sel = np.flatnonzero(vx.astype(bool)[J])
+        return self._gather(sel, [(vx, J[sel])], I[sel] * self.dim + K[sel],
+                            self.dim**2).reshape(self.dim, self.dim)
 
     def left_matrix(self, a: Dict[int, object]) -> np.ndarray:
         """Matrix of left multiplication by a: row j = coordinates of a b_j."""
-        I, J, K, C, start = self.structure_constants()
+        I, J, K, _, start = self.structure_constants()
         va = self.dense(a)
         sel = _runs(start, np.flatnonzero(va))[0]
-        m = self.field.p
-        vals = reduce_mod(va[I[sel]] * C[sel], m)
-        return scatter_add(J[sel] * self.dim + K[sel], vals, self.dim**2, m).reshape(
-            self.dim, self.dim)
+        return self._gather(sel, [(va, I[sel])], J[sel] * self.dim + K[sel],
+                            self.dim**2).reshape(self.dim, self.dim)
 
     def sandwich(self, e: Dict[int, object]) -> np.ndarray:
         """Rows spanning e A e: row i of L_e R_e is e b_i e."""

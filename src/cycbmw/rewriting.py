@@ -222,6 +222,21 @@ def _overlaps(a: bytes, b: bytes):
             yield ov
 
 
+def _overlap_triples(lhss: list):
+    """(a, b, ov) for every proper overlap of the lhss, a and b in the order
+    of `lhss`, then ov increasing: the pairwise loop over `_overlaps`, found
+    through an index from each proper prefix to the lhss starting with it."""
+    starting = defaultdict(list)
+    for pos, b in enumerate(lhss):
+        for ov in range(1, len(b)):
+            starting[b[:ov]].append(pos)
+    for a in lhss:
+        hits = sorted((pos, ov) for ov in range(1, len(a))
+                      for pos in starting.get(a[-ov:], ()))
+        for pos, ov in hits:
+            yield a, lhss[pos], ov
+
+
 def _s_element(rs: RewriteSystem, a: bytes, b: bytes, ov: int) -> dict:
     """The ambiguity word a + b[ov:] rewritten two ways: (rhs a) tail - head (rhs b)."""
     field = rs.field
@@ -252,8 +267,7 @@ def overlap_differences(rs: RewriteSystem, basis: Basis | None = None):
     through its actions, sharing one memo over (k, suffix) that lives as
     long as the generator; without one, each S-element is reduced.
     """
-    lhss = sorted(rs.rules, key=deglex_key)
-    pairs = ((a, b, ov) for a in lhss for b in lhss for ov in _overlaps(a, b))
+    pairs = _overlap_triples(sorted(rs.rules, key=deglex_key))
     if basis is None:
         for a, b, ov in pairs:
             yield a, b, ov, rs.reduce(_s_element(rs, a, b, ov))

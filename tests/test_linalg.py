@@ -7,7 +7,8 @@ from sympy import GF as SymGF, QQ as SymQQ
 from sympy.polys.matrices import DomainMatrix
 
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import EchelonSpan, RowBasis, dtype_for, matmul, nullspace, rank, rref
+from cycbmw.linalg import (EchelonSpan, RowBasis, dtype_for, fraction_free, from_fraction_free,
+                           matmul, matmul_mod, nullspace, rank, rref)
 
 
 def test_matmul_no_int64_overflow_near_2_31():
@@ -131,6 +132,57 @@ def test_matmul_matches_sympy(field):
         top = field.p - 1
         A, B = [[top] * 8] * 3, [[top] * 4] * 8
         assert matmul(A, B, field) == [[8 % field.p] * 4] * 3
+
+
+def _q_array(rows, shape):
+    return np.array(rows, dtype=object).reshape(shape)
+
+
+def _assert_q_matmul(A, B):
+    """matmul_mod over Q against DomainMatrix over QQ; A may be 1-D."""
+    got = matmul_mod(A, B, 0)
+    assert got.shape == A.shape[:-1] + B.shape[1:] and got.dtype == object
+    assert all(type(c) is Fraction for c in got.flat)
+    k, m = B.shape
+    want = _to_sympy(A.reshape(-1, k).tolist(), k, QQ) * _to_sympy(B.tolist(), m, QQ)
+    assert got.reshape(-1, m).tolist() == _from_sympy(want, QQ)
+
+
+def test_q_matmul_fraction_free_matches_sympy():
+    rng = random.Random(70)
+    big = [rng.randrange(2**69, 2**70) for _ in range(6)]
+    coprime = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+    def draw(kind):
+        num = rng.randrange(-2**40, 2**40)
+        if kind == "big":
+            return Fraction(num, rng.choice(big))
+        if kind == "coprime":
+            return Fraction(num, rng.choice(coprime))
+        # negative entries, Python ints mixed with Fractions
+        num = rng.randrange(-9, 10)
+        return rng.choice([num, Fraction(num, rng.randrange(1, 6))])
+
+    for kind in ("big", "coprime", "mixed"):
+        for n, k, m in ((3, 4, 5), (1, 6, 2), (5, 1, 3)):
+            A = _q_array([draw(kind) for _ in range(n * k)], (n, k))
+            B = _q_array([draw(kind) for _ in range(k * m)], (k, m))
+            _assert_q_matmul(A, B)
+            _assert_q_matmul(A[0], B)          # a 1-D left operand
+    # the common denominator of pairwise coprime denominators is their product
+    N, d = fraction_free(_q_array([Fraction(1, 7), Fraction(-2, 11), 3, Fraction(5, 13)], (2, 2)))
+    assert d == 7 * 11 * 13 and N.tolist() == [[143, -182], [3003, 385]]
+    assert from_fraction_free(N, d).tolist() == [[Fraction(1, 7), Fraction(-2, 11)],
+                                                  [Fraction(3), Fraction(5, 13)]]
+    # empty shapes: (0 x k)(k x m), (n x 0)(0 x m) and (n x k)(k x 0)
+    for n, k, m in ((0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)):
+        A = _q_array([Fraction(i + 1, 2) for i in range(n * k)], (n, k))
+        B = _q_array([Fraction(-i, 3) for i in range(k * m)], (k, m))
+        got = matmul_mod(A, B, 0)
+        assert got.shape == (n, m)
+        assert all(type(c) is Fraction and c == 0 for c in got.flat)
+    got = matmul_mod(_q_array([], (0,)), _q_array([], (0, 2)), 0)
+    assert got.tolist() == [0, 0] and all(type(c) is Fraction for c in got)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_rewriting import pairwise_overlaps
 
 from cycbmw import presentation, rewriting
 from cycbmw.fields import GF, QQ
@@ -336,6 +339,47 @@ def test_generator_action_table_is_concatenation_nf(case, birth):
             assert B.product(i, j) == _concatenation_product(A, i, j), (i, j)
 
 
+def _rational(u):
+    """Admissible Q parameters with q = 2 and rho = (alpha prod u)^-1."""
+    alpha = Fraction(1) if len(u) % 2 else Fraction(1, 2)
+    return ParameterSet(QQ, 2, 1 / (alpha * math.prod(u)), list(u), admissible=True)
+
+
+def _product_by_entries(A, a, b):
+    """a b summed term by term from A.product(i, j) with Field.add/mul."""
+    f, out = A.field, {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            for k, c in A.product(i, j):
+                out[k] = f.add(out.get(k, f.zero()), f.mul(f.mul(ca, cb), c))
+    return {k: c for k, c in out.items() if not f.is_zero(c)}
+
+
+@pytest.mark.parametrize("n,u", [(3, (1,)), (2, (1, 4, Fraction(1, 4)))],
+                         ids=["q_b13", "q_b32"])
+def test_q_gather_matches_entrywise_products(n, u):
+    A = build_algebra(n, _rational(u))
+    one = A.field.one()
+    rng = random.Random(n)
+
+    def element():
+        support = rng.sample(range(A.dim), rng.randrange(1, 5))
+        return {i: Fraction(rng.randrange(-50, 51) or 1, rng.choice([1, 3, 2**40, 7 * 2**70]))
+                for i in support}
+
+    elements = [element() for _ in range(6)] + [A.unit(), {}]
+    for a in elements:
+        R, L = A.right_matrix(a), A.left_matrix(a)
+        assert all(type(c) is Fraction for M in (R, L) for c in M.flat)
+        for i in range(A.dim):
+            assert R[i].tolist() == A.dense(_product_by_entries(A, {i: one}, a)).tolist()
+            assert L[i].tolist() == A.dense(_product_by_entries(A, a, {i: one})).tolist()
+        for b in elements[:4]:
+            ab = A.mul(a, b)
+            assert ab == _product_by_entries(A, a, b)
+            assert all(type(c) is Fraction for c in ab.values())
+
+
 @pytest.fixture(scope="module")
 def b33():
     return build_algebra(3, generic(3))
@@ -365,6 +409,13 @@ def test_frontier_b33_table_digest(b33):
         digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     assert digest.hexdigest() == \
         "4fb19013560b1b691d23df6c2a0b29e8de4a1e4538e5ef0cb8ef2a50a70f8495"
+
+
+def test_frontier_b33_overlap_index(b33):
+    pairwise = pairwise_overlaps(b33.rules)
+    assert list(rewriting._overlap_triples(sorted(b33.rules.rules, key=rewriting.deglex_key))) \
+        == pairwise
+    assert len(pairwise) == b33.meta["completion"]["verification_ambiguities"]
 
 
 def test_probe_completion_is_reused(monkeypatch):

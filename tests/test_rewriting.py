@@ -185,6 +185,21 @@ def test_walk_and_reduction_resolve_every_overlap(case):
     assert not any(t[3] for t in walked) and not any(t[3] for t in reduced)
 
 
+def pairwise_overlaps(rs):
+    """Every (a, b, ov) of the rules by testing each ordered pair of lhss."""
+    lhss = sorted(rs.rules, key=deglex_key)
+    return [(a, b, ov) for a in lhss for b in lhss for ov in rewriting._overlaps(a, b)]
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEMS))
+def test_overlap_index_matches_pairwise_enumeration(case):
+    eqs, field, cap = SYSTEMS[case]()
+    rs, stats = complete(eqs, field, cap)
+    triples = list(rewriting._overlap_triples(sorted(rs.rules, key=deglex_key)))
+    assert triples == pairwise_overlaps(rs)
+    assert len(triples) == stats.verification_ambiguities
+
+
 def test_walk_flags_the_overlaps_reduction_flags():
     # dropping one rhs term breaks confluence: the walk, through the actions
     # of the broken rules, must fail on exactly the overlaps reduction fails on
