@@ -15,9 +15,8 @@ from .presentation import (StructureAlgebra, build_algebra, canonical_relations,
                            check_omega_relations, corner_algebra, dump_algebra,
                            ideal_generated_by, load_algebra,
                            semi_admissibility_degree, truncation_idempotent)
-from .repn import (ModuleRep, WedderburnReport, count_simples,
-                   functor_grading_check, radical, simple_modules,
-                   truncate_module, wedderburn)
+from .repn import (ModuleRep, WedderburnReport, functor_grading_check, radical,
+                   simple_modules, truncate_module, wedderburn)
 from .combinatorics import (IndexPair, IndexPoset, Multicharge, classify_affine,
                             classify_cyclotomic, dominates, enumerate_aperiodic,
                             enumerate_index_poset, enumerate_multipartitions,
@@ -32,7 +31,7 @@ __all__ = [
     "check_omega_relations", "corner_algebra", "dump_algebra",
     "ideal_generated_by", "load_algebra", "semi_admissibility_degree",
     "truncation_idempotent",
-    "ModuleRep", "WedderburnReport", "count_simples", "functor_grading_check",
+    "ModuleRep", "WedderburnReport", "functor_grading_check",
     "radical", "simple_modules", "truncate_module", "wedderburn",
     "IndexPair", "IndexPoset", "Multicharge", "classify_affine",
     "classify_cyclotomic", "dominates", "enumerate_aperiodic",

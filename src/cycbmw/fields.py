@@ -81,10 +81,6 @@ class Field:
             return Field(PRIME_FIELD, int(s[4:]))
         raise FieldError(f"unknown field descriptor {s!r}")
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     # -- raw arithmetic -----------------------------------------------------
     # Raw values: int residue in 0..p-1 for GF(p), Fraction for Q.
 

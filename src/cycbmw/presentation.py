@@ -243,15 +243,17 @@ def _runs(start: np.ndarray, rows: np.ndarray):
 class StructureAlgebra:
     """Finite-dimensional algebra with an explicit basis and exact products.
 
-    The product table is the sparse structure constants b_i b_j = sum_k C b_k
-    (`structure_constants`), gathered from its columns: `_table[j]` holds
-    the arrays (I, K, C) of the products b_i b_j in (i, k) order, C in the
-    field's array dtype (`linalg.dtype_for`).  `mul`, `right_matrix` and
-    `left_matrix` are each one gather-scatter over the constants
-    (`_gather`).  Over Q, C and every array the algebra hands out hold
-    reduced Fractions, but the gather multiplies integer numerators: those
-    of C over their common denominator (made once, on the first gather)
-    times those of its operands, with one Fraction made per output entry.
+    The product table is the sparse structure constants b_i b_j = sum_k C b_k,
+    stored once, column by column: `_table[j]` holds the arrays (I, K, C)
+    of the products b_i b_j in (i, k) order, C in the field's array dtype
+    (`linalg.dtype_for`).  `structure_constants` joins the columns into one
+    set of arrays and leaves each `_table[j]` a view of them.  `mul`,
+    `right_matrix` and `left_matrix` are each one gather-scatter over the
+    constants (`_gather`).  Over Q, C and every array the algebra hands
+    out hold reduced Fractions, but the gather multiplies integer
+    numerators: those of C over their common denominator (made once, on
+    the first gather) times those of its operands, with one Fraction made
+    per output entry.
 
     Two births: from a completed rewriting system (basis = irreducible
     words), whose columns `materialize()` fills, or with every column
@@ -384,25 +386,24 @@ class StructureAlgebra:
 
     def product(self, i: int, j: int) -> tuple:
         """b_i b_j as (k, c) pairs in order of k."""
-        _, J, K, C, start = self.structure_constants()
-        lo = start[i]
-        a, b = lo + np.searchsorted(J[lo:start[i + 1]], [j, j + 1])
+        I, _, K, C, colstart = self.structure_constants()
+        lo = colstart[j]
+        a, b = lo + np.searchsorted(I[lo:colstart[j + 1]], [i, i + 1])
         return tuple(zip(K[a:b].tolist(), C[a:b].tolist()))
 
     def structure_constants(self):
-        """(I, J, K, C, start): the nonzero structure constants
-        b_i b_j = sum_k C b_k as parallel arrays sorted by (i, j, k), with
-        the entries of row i at start[i]:start[i+1].  Gathered from the
-        full table on first use, which materializes it."""
+        """(I, J, K, C, colstart): the nonzero structure constants
+        b_i b_j = sum_k C b_k as parallel arrays, column after column: the
+        products b_i b_j of column j lie at colstart[j]:colstart[j+1], in
+        (i, k) order.  Joined from the full table on first use, which
+        materializes it; `_table[j]` is then a view of column j."""
         if self._constants is None:
             self.materialize()
             I, K, C = (np.concatenate(parts) for parts in zip(*self._table))
-            J = np.repeat(np.arange(self.dim), [len(col[0]) for col in self._table])
-            # the columns come in order of j, each in (i, k) order
-            order = np.argsort(I, kind="stable")
-            I, J, K, C = I[order], J[order], K[order], C[order]
-            start = np.searchsorted(I, np.arange(self.dim + 1))
-            self._constants = (I, J, K, C, start)
+            colstart = np.cumsum([0] + [len(col[0]) for col in self._table])
+            self._table = [(I[a:b], K[a:b], C[a:b]) for a, b in zip(colstart, colstart[1:])]
+            J = np.repeat(np.arange(self.dim), np.diff(colstart))
+            self._constants = (I, J, K, C, colstart)
         return self._constants
 
     def _gather(self, sel: np.ndarray, factors: list, slots: np.ndarray,
@@ -427,25 +428,25 @@ class StructureAlgebra:
         return from_fraction_free(out, d)
 
     def mul(self, a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-        I, J, K, _, start = self.structure_constants()
+        I, J, K, _, colstart = self.structure_constants()
         va, vb = self.dense(a), self.dense(b)
-        sel = _runs(start, np.flatnonzero(va))[0]
-        sel = sel[vb.astype(bool)[J[sel]]]
+        sel = _runs(colstart, np.flatnonzero(vb))[0]
+        sel = sel[va.astype(bool)[I[sel]]]
         return self.sparse(self._gather(sel, [(va, I[sel]), (vb, J[sel])], K[sel], self.dim))
 
     def right_matrix(self, x: Dict[int, object]) -> np.ndarray:
         """Matrix of right multiplication by x: row i = coordinates of b_i x."""
-        I, J, K, _, _ = self.structure_constants()
+        I, J, K, _, colstart = self.structure_constants()
         vx = self.dense(x)
-        sel = np.flatnonzero(vx.astype(bool)[J])
+        sel = _runs(colstart, np.flatnonzero(vx))[0]
         return self._gather(sel, [(vx, J[sel])], I[sel] * self.dim + K[sel],
                             self.dim**2).reshape(self.dim, self.dim)
 
     def left_matrix(self, a: Dict[int, object]) -> np.ndarray:
         """Matrix of left multiplication by a: row j = coordinates of a b_j."""
-        I, J, K, _, start = self.structure_constants()
+        I, J, K, _, _ = self.structure_constants()
         va = self.dense(a)
-        sel = _runs(start, np.flatnonzero(va))[0]
+        sel = np.flatnonzero(va.astype(bool)[I])
         return self._gather(sel, [(va, I[sel])], J[sel] * self.dim + K[sel],
                             self.dim**2).reshape(self.dim, self.dim)
 
@@ -717,6 +718,8 @@ def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, obj
 
 def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebra:
     """The corner eAe with unit e, as a structure-constants algebra."""
+    if not any(e.values()):
+        raise BuildError("corner requires a nonzero idempotent")
     if A.mul(e, e) != e:
         raise BuildError("corner requires an idempotent")
     rows = EchelonSpan(A.field, A.dim, A.sandwich(e)).row_lists()
@@ -733,10 +736,12 @@ def dump_algebra(A: StructureAlgebra) -> dict:
         raise BuildError("dump needs an algebra built or loaded with its parameters")
     f = A.field
     I, J, K, C, _ = A.structure_constants()
-    # the constants are sorted by (i, j): the entries of b_i b_j, with
+    # the columns come in order of j, each in (i, k) order: a stable sort by
+    # i gives the (i, j, k) order, in which the entries of b_i b_j, with
     # t = i dim + j, lie at bounds[t]:bounds[t + 1]
-    bounds = np.searchsorted(I * A.dim + J, np.arange(A.dim**2 + 1)).tolist()
-    entries = [[k, f.render(c)] for k, c in zip(K.tolist(), C.tolist())]
+    order = np.argsort(I, kind="stable")
+    bounds = np.searchsorted((I * A.dim + J)[order], np.arange(A.dim**2 + 1)).tolist()
+    entries = [[k, f.render(c)] for k, c in zip(K[order].tolist(), C[order].tolist())]
     products = [[t // A.dim, t % A.dim, entries[lo:hi]]
                 for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     params_blob = {
@@ -789,6 +794,9 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         alg = StructureAlgebra.from_table(field, table, dim, unit, labels=labels,
                                           gens=gens,
                                           meta={"n": n, "variant": blob.get("variant")})
+        # a canonical dump lists nonzero constants only
+        if any(np.count_nonzero(C) < len(C) for _, _, C in alg._table):
+            raise ValueError("a structure constant is zero")
     except (KeyError, TypeError, ValueError) as exc:
         raise BuildError(f"corrupted algebra dump: {exc}") from exc
     alg.params = p

@@ -420,13 +420,6 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     return rep
 
 
-def count_simples(A: StructureAlgebra, seed: int = DEFAULT_SEED) -> Tuple[int, bool]:
-    """(number of Wedderburn blocks, split flag); the count is the number
-    of non-isomorphic simple modules exactly when split is True."""
-    rep = wedderburn(A, radical(A), seed=seed)
-    return len(rep.blocks), rep.split
-
-
 # -- modules ------------------------------------------------------------------------
 
 class ModuleRep:

@@ -293,6 +293,9 @@ def test_corner_requires_idempotent(algebras):
     g1 = A.nf_word(bytes((G(1, 2),)))
     with pytest.raises(BuildError):
         corner_algebra(A, g1)
+    # the zero element squares to itself but spans no corner
+    with pytest.raises(BuildError, match="nonzero idempotent"):
+        corner_algebra(A, {})
 
 
 def test_dump_canonical_and_loadable(algebras):
@@ -320,6 +323,22 @@ TABLE_CASES = {
     "gf101_ak_b14": lambda: build_algebra(4, generic(1), variant="ariki_koike"),
     "q_b13": lambda: build_algebra(3, ParameterSet(QQ, 2, "1/3", [3], admissible=True)),
 }
+
+
+@pytest.mark.parametrize("birth", ["materialized", "loaded"])
+def test_structure_constants_are_the_only_copy(birth):
+    A = TABLE_CASES["gf101_b22"]()
+    if birth == "loaded":
+        A = load_algebra(json.loads(dumps_algebra(A)))
+    I, J, K, C, colstart = A.structure_constants()
+    assert len(A._table) == A.dim and colstart[0] == 0 and colstart[-1] == len(C)
+    for j, (Ij, Kj, Cj) in enumerate(A._table):
+        # each column is a view of the joined arrays, not a copy
+        assert np.shares_memory(Ij, I) and np.shares_memory(Kj, K) and np.shares_memory(Cj, C)
+        lo, hi = colstart[j], colstart[j + 1]
+        for col, whole in ((Ij, I), (Kj, K), (Cj, C)):
+            assert col.tolist() == whole[lo:hi].tolist()
+        assert (J[lo:hi] == j).all()
 
 
 @pytest.mark.parametrize("birth", ["materialized", "loaded"])
@@ -400,13 +419,15 @@ def test_frontier_b33_products(b33):
 
 
 def test_frontier_b33_table_digest(b33):
-    # all 164,025 products: sha256 over the int64 bytes of I, J, K and C,
-    # recorded when the table was still filled one entry at a time
-    I, J, K, C, start = b33.structure_constants()
-    assert len(C) == 4_860_364 and start[-1] == len(C)
+    # all 164,025 products: sha256 over the int64 bytes of I, J, K and C in
+    # (i, j, k) order, recorded when the table was still filled one entry at
+    # a time; the columns come in order of j, each in (i, k) order
+    I, J, K, C, colstart = b33.structure_constants()
+    assert len(C) == 4_860_364 and colstart[-1] == len(C)
+    order = np.argsort(I, kind="stable")
     digest = hashlib.sha256()
     for a in (I, J, K, C):
-        digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(a[order], dtype=np.int64).tobytes())
     assert digest.hexdigest() == \
         "4fb19013560b1b691d23df6c2a0b29e8de4a1e4538e5ef0cb8ef2a50a70f8495"
 
@@ -517,6 +538,13 @@ def test_load_rejects_corruption():
     bad2.pop("field")
     with pytest.raises(BuildError):
         load_algebra(bad2)
+    # a canonical dump holds no zero constant
+    bad3 = json.loads(json.dumps(blob))
+    entry = bad3["products"][A.dim]
+    assert entry[:2] == [1, 0] and len(entry[2]) == 1
+    entry[2][0][1] = "0"
+    with pytest.raises(BuildError, match="corrupted algebra dump: .*zero"):
+        load_algebra(bad3)
 
 
 def _set_k(value):
