@@ -8,16 +8,18 @@ reduced, and every array a function returns holds reduced Fractions.
 Products go through `matmul_mod`, which splits int64 products along the
 inner dimension so that no partial sum overflows, and over Q multiplies
 integer numerators over one common denominator per operand
-(`fraction_free`), making one Fraction per result entry.  Everything is
-exact and deterministic: pivots are always the first nonzero column, rows
-keep insertion order semantics.
+(`fraction_free`), making one Fraction per result entry.  Row spaces go
+through one batched kernel, `echelon`: the reduced echelon form of a whole
+matrix, unique and so deterministic.  It backs `EchelonSpan`, `RowBasis`,
+`rref`, `rank`, `nullspace` and the row rank profile (`rank_profile`);
+only `EchelonSpan.insert` grows a span one row at a time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -94,31 +96,69 @@ def _scalar(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
+def echelon(a: np.ndarray, m: int) -> Tuple[np.ndarray, List[int]]:
+    """(E, pivots): the reduced echelon form of the 2-D array a without its
+    zero rows, and its pivot columns; a is not modified.  One vectorised
+    step per pivot column j updates all rows.  Over GF(p) the pivot row is
+    scaled to 1 and subtracted from the rows nonzero at j; no int64 term
+    exceeds (m-1)^2.  Over Q the integer numerators are eliminated
+    fraction-free (Nakos, Turner & Williams 1997): with d the previous
+    pivot and v the new one, each other row x becomes (v x - x[j] pivot
+    row) / d, an exact division; E is the rows over the last pivot."""
+    a = a.copy() if m else fraction_free(a)[0]
+    d, pivots, j = 1, [], 0
+    while len(pivots) < len(a):
+        r = len(pivots)
+        # the next pivot column: the first one nonzero in a row from r on
+        cols = np.flatnonzero((a[r:, j:] != 0).any(axis=0))
+        if not len(cols):
+            break
+        j += int(cols[0])
+        s = r + int(np.flatnonzero(a[r:, j])[0])
+        a[[r, s]] = a[[s, r]]
+        if m:
+            a[r] = a[r] * pow(_scalar(a[r, j]), -1, m) % m
+            rows = np.flatnonzero(a[:, j])
+            rows = rows[rows != r]
+            a[rows] = (a[rows] - np.outer(a[rows, j], a[r])) % m
+        else:
+            row, v = a[r].copy(), a[r, j]
+            a = (v * a - np.outer(a[:, j], row)) // d
+            a[r], d = row, v
+        pivots.append(j)
+        j += 1
+    E = a[:len(pivots)]
+    return (E if m else from_fraction_free(E, d)), pivots
+
+
+def rank_profile(rows: np.ndarray, field: Field) -> List[int]:
+    """Indices of the rows independent of the rows before them: the pivot
+    columns of the transpose, whose column i lies outside the span of the
+    columns before it exactly when row i does."""
+    return echelon(as_array(rows, field.p).T, field.p)[1]
+
+
 class EchelonSpan:
-    """Growable row space kept in reduced echelon form, holding `rows`
-    inserted in order."""
+    """Row space in reduced echelon form: `rows`, a 2-D array sorted by
+    pivot, and `pivots`.  Built whole by `echelon`; `insert` adds one row,
+    for the callers that grow a span until its first dependent row (the
+    Krylov loop of `repn._split`, the semi-admissibility degree)."""
 
     def __init__(self, field: Field, ncols: int, rows=()):
         self.field = field
-        self.ncols = ncols
-        self.rows: List[np.ndarray] = []     # RREF rows, sorted by pivot
-        self.pivots: list[int] = []
-        for row in rows:
-            self.insert(row)
+        self.rows, self.pivots = echelon(
+            as_array(rows, field.p).reshape(len(rows), ncols), field.p)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, v) -> np.ndarray:
-        """Residual of v modulo the current span, as a new array."""
+        """Residual of v modulo the span, as a new array: v - v[pivots].rows,
+        zero at every pivot."""
         m = self.field.p
         v = as_array(v, m)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = reduce_mod(v - c * row, m)
-        return v
+        return reduce_mod(v - matmul_mod(v[self.pivots], self.rows, m), m)
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the dimension grew."""
@@ -129,20 +169,15 @@ class EchelonSpan:
         m = self.field.p
         pc = int(nz[0])
         v = reduce_mod(v * self.field.inv(_scalar(v[pc])), m)
-        for i, row in enumerate(self.rows):
-            c = row[pc]
-            if c:
-                self.rows[i] = reduce_mod(row - c * v, m)
-        # keep rows sorted by pivot column for canonical output
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < pc:
-            idx += 1
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, pc)
+        hit = np.flatnonzero(self.rows[:, pc])
+        self.rows[hit] = reduce_mod(self.rows[hit] - np.outer(self.rows[hit, pc], v), m)
+        at = int(np.searchsorted(self.pivots, pc))
+        self.rows = np.insert(self.rows, at, v, axis=0)
+        self.pivots.insert(at, pc)
         return True
 
     def row_lists(self) -> List[list]:
-        return [row.tolist() for row in self.rows]
+        return self.rows.tolist()
 
 
 class RowBasis:
@@ -159,12 +194,10 @@ class RowBasis:
         k, n = len(rows), len(rows[0]) if len(rows) else 0
         aug = np.hstack([as_array(rows, m).reshape(k, n), zeros((k, k), m)])
         aug[np.arange(k), n + np.arange(k)] = field.one()
-        span = EchelonSpan(field, n + k, aug)
-        if any(pc >= n for pc in span.pivots):
+        echelon_rows, self._pivots = echelon(aug, m)
+        if any(pc >= n for pc in self._pivots):
             raise ValueError("RowBasis rows are linearly dependent")
-        self._pivots = span.pivots
-        echelon = as_array(span.rows, m).reshape(k, n + k)
-        self._echelon, self._transform = echelon[:, :n], echelon[:, n:]
+        self._echelon, self._transform = echelon_rows[:, :n], echelon_rows[:, n:]
 
     def coords(self, v) -> Optional[list]:
         """x with x.rows = v, or None when v is outside the span.  v is one
@@ -183,8 +216,8 @@ def rref(rows, field: Field):
     """(reduced nonzero rows, pivot columns); input is not modified."""
     if not len(rows):
         return [], []
-    span = EchelonSpan(field, len(rows[0]), rows)
-    return span.row_lists(), list(span.pivots)
+    red, piv = echelon(as_array(rows, field.p), field.p)
+    return red.tolist(), piv
 
 
 def rank(rows, field: Field) -> int:
@@ -200,12 +233,12 @@ def nullspace(rows, ncols: int, field: Field) -> List[list]:
     pivot-row entries at the pivot coordinates.
     """
     m = field.p
-    red, piv = rref(rows, field)
+    red, piv = echelon(as_array(rows, m).reshape(len(rows), ncols), m)
     free = np.setdiff1d(np.arange(ncols), piv)
     basis = zeros((len(free), ncols), m)
     basis[np.arange(len(free)), free] = field.one()
     if piv:
-        basis[:, piv] = reduce_mod(-as_array(red, m)[:, free].T, m)
+        basis[:, piv] = reduce_mod(-red[:, free].T, m)
     return basis.tolist()
 
 

@@ -257,9 +257,10 @@ class StructureAlgebra:
 
     Two births: from a completed rewriting system (basis = irreducible
     words), whose columns `materialize()` fills, or with every column
-    filled, from a product table (`from_table`: loaded dumps) or from right
-    multiplication matrices (`from_columns`: quotients, and through
-    `from_rows` corners and the center algebra).
+    filled, from flat constants (`from_constants`: loaded dumps, and through
+    `from_table` product tables) or from right multiplication matrices
+    (`from_columns`: quotients, and through `from_rows` corners and the
+    center algebra).
 
     A word-born algebra never reduces a concatenation b_i b_j.  Its basis
     is prefix-closed (every factor of an irreducible word is irreducible),
@@ -318,11 +319,24 @@ class StructureAlgebra:
         """The algebra with products table[(i, j)] = ((k, c), ...)."""
         if len(table) != dim * dim:
             raise BuildError("product table is incomplete")
+        entries = [(i, j, k, c) for (i, j), prod in table.items() for k, c in prod]
+        I, J, K = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3).T
+        C = as_array([e[3] for e in entries], field.p)
+        return cls.from_constants(field, dim, I, J, K, C, unit_coords, labels, gens, meta)
+
+    @classmethod
+    def from_constants(cls, field: Field, dim: int, I, J, K, C, unit_coords, labels, gens, meta):
+        """The algebra with b_i b_j = sum of C b_K over the positions with
+        (I, J) = (i, j), each product in strictly increasing k; one stable
+        sort by (j, i) makes them column-major."""
+        order = np.argsort(J * dim + I, kind="stable")
+        I, J, K, C = I[order], J[order], K[order], C[order]
+        bad = np.flatnonzero((I[1:] == I[:-1]) & (J[1:] == J[:-1]) & (K[1:] <= K[:-1])) + 1
+        if len(bad):
+            raise BuildError(f"the k of product ({I[bad[0]]}, {J[bad[0]]}) are not "
+                             "strictly increasing")
         alg = cls(field, dim, unit_coords, labels, gens=gens, meta=meta)
-        for j in range(dim):
-            entries = [(i, k, c) for i in range(dim) for k, c in table[(i, j)]]
-            I, K = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
-            alg._table.append((I, K, as_array([e[2] for e in entries], field.p)))
+        alg._store(I, K, C, np.searchsorted(J, np.arange(dim + 1)))
         return alg
 
     @classmethod
@@ -400,11 +414,16 @@ class StructureAlgebra:
         if self._constants is None:
             self.materialize()
             I, K, C = (np.concatenate(parts) for parts in zip(*self._table))
-            colstart = np.cumsum([0] + [len(col[0]) for col in self._table])
-            self._table = [(I[a:b], K[a:b], C[a:b]) for a, b in zip(colstart, colstart[1:])]
-            J = np.repeat(np.arange(self.dim), np.diff(colstart))
-            self._constants = (I, J, K, C, colstart)
+            self._store(I, K, C, np.cumsum([0] + [len(col[0]) for col in self._table]))
         return self._constants
+
+    def _store(self, I, K, C, colstart):
+        """Keep the column-major constants, column j at colstart[j]:colstart[j+1],
+        as the one table: `_table[j]` becomes a view of column j (releasing
+        filled columns before J is made keeps the peak down)."""
+        self._table = [(I[a:b], K[a:b], C[a:b]) for a, b in zip(colstart, colstart[1:])]
+        J = np.repeat(np.arange(self.dim), np.diff(colstart))
+        self._constants = (I, J, K, C, colstart)
 
     def _gather(self, sel: np.ndarray, factors: list, slots: np.ndarray,
                 size: int) -> np.ndarray:
@@ -666,20 +685,20 @@ def semi_admissibility_degree(p: ParameterSet, degree_cap: Optional[int] = None,
 
 
 def ideal_span(A: StructureAlgebra, rows) -> EchelonSpan:
-    """Echelon span of the two-sided ideal generated by the dense `rows`,
-    closed under `A.multipliers()` on both sides."""
-    multipliers = A.multipliers()
-    span = EchelonSpan(A.field, A.dim)
-    frontier = [A.sparse(row) for row in rows if span.insert(row)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in multipliers:
-                for prod in (A.mul(v, m), A.mul(m, v)):
-                    if span.insert(A.dense(prod)):
-                        nxt.append(prod)
-        frontier = nxt
-    return span
+    """Echelon span of the two-sided ideal generated by the dense `rows`:
+    the span of rows, grown by its rows times each of `A.multipliers()` on
+    either side until it stops growing."""
+    m = A.field.p
+    span = EchelonSpan(A.field, A.dim, rows)
+    if not span.dim:
+        return span
+    actions = [M for g in A.multipliers() for M in (A.right_matrix(g), A.left_matrix(g))]
+    while True:
+        grown = EchelonSpan(A.field, A.dim, np.vstack(
+            [span.rows] + [matmul_mod(span.rows, M, m) for M in actions]))
+        if grown.dim == span.dim:
+            return span
+        span = grown
 
 
 def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
@@ -768,7 +787,8 @@ def dumps_algebra(A: StructureAlgebra) -> str:
 
 
 def load_algebra(blob: dict) -> StructureAlgebra:
-    """Rebuild a table-born algebra (plus parameters) from a dump."""
+    """Rebuild a table-born algebra (plus parameters) from a dump; the
+    constants go straight into flat arrays (`StructureAlgebra.from_constants`)."""
     try:
         field = Field.from_descriptor(blob["field"])
         pb = blob["params"]
@@ -778,25 +798,34 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         n = blob["n"]
         labels = blob["basis"]
         dim = len(labels)
-        table = {}
-        for i, j, entries in blob["products"]:
-            table[(i, j)] = tuple((k, field.parse(c)) for k, c in entries)
-        index = [x for key in table for x in key] + [k for t in table.values() for k, _ in t]
+        products = blob["products"]
+        heads = [x for i, j, _ in products for x in (i, j)]
+        ks = [k for _, _, entries in products for k, _ in entries]
+        index = heads + ks
         # JSON integers only: a float, bool or string index is corruption
         bad = [x for x in index if type(x) is not int]
         if bad:
             raise ValueError(f"product index {bad[0]!r} is not an integer")
         if index and not 0 <= min(index) <= max(index) < dim:
             raise ValueError(f"a product index lies outside range({dim})")
+        PI, PJ = np.array(heads, dtype=np.int64).reshape(-1, 2).T
+        # every product (i, j) once: the first that is not names the fault
+        seen = np.bincount(PI * dim + PJ, minlength=dim * dim)
+        if (seen != 1).any():
+            t = int(np.argmax(seen != 1))
+            raise ValueError(f"repeated product ({t // dim}, {t % dim})" if seen[t]
+                             else "product table is incomplete")
+        C = as_array([field.parse(c) for _, _, entries in products for _, c in entries], field.p)
+        # a canonical dump lists nonzero constants only
+        if np.count_nonzero(C) < len(C):
+            raise ValueError("a structure constant is zero")
         unit = {labels.index("1"): field.one()}
         gens = {lab: {i: field.one()} for i, lab in enumerate(labels)
                 if "." not in lab and lab != "1"}
-        alg = StructureAlgebra.from_table(field, table, dim, unit, labels=labels,
-                                          gens=gens,
-                                          meta={"n": n, "variant": blob.get("variant")})
-        # a canonical dump lists nonzero constants only
-        if any(np.count_nonzero(C) < len(C) for _, _, C in alg._table):
-            raise ValueError("a structure constant is zero")
+        sizes = [len(entries) for _, _, entries in products]
+        alg = StructureAlgebra.from_constants(
+            field, dim, np.repeat(PI, sizes), np.repeat(PJ, sizes), np.array(ks, dtype=np.int64),
+            C, unit, labels, gens, {"n": n, "variant": blob.get("variant")})
     except (KeyError, TypeError, ValueError) as exc:
         raise BuildError(f"corrupted algebra dump: {exc}") from exc
     alg.params = p

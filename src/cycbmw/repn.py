@@ -2,7 +2,9 @@
 
 Jacobson radical (trace-form kernel in characteristic 0; the iterated
 p-power trace refinement in characteristic p, evaluated on integer lifts
-of the regular representation), Wedderburn block data of the semisimple
+of the regular representation; certified nilpotent with matrix products,
+each squaring round one stack of current @ R_b reduced by one batched
+echelon, on every field), Wedderburn block data of the semisimple
 quotient through its center, explicit simple right modules via primitive
 idempotents, and the idempotent-truncation functor M -> M e.  The central
 idempotents are split inside the center algebra Z, not inside the
@@ -37,7 +39,7 @@ import sympy
 
 from .fields import Field, PRIME_FIELD
 from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_mod,
-                     nullspace, reduce_mod, scatter_add)
+                     nullspace, rank_profile, reduce_mod, scatter_add)
 from .presentation import StructureAlgebra, ideal_span
 
 DEFAULT_SEED = 20260801
@@ -108,22 +110,22 @@ def radical(A: StructureAlgebra) -> List[list]:
 
 
 def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
-    f = A.field
-    if ideal_span(A, basis).dim != len(basis):
+    """Refuse `basis` unless it spans a nilpotent two-sided ideal I: the
+    ideal it generates has dimension len(basis), and the dimensions of I,
+    I^2, (I^2)^2, ... fall strictly to 0.  Each square J^2 is the row span
+    of the stacked products J @ R_b, one right multiplication matrix per
+    echelon row b of J, reduced by one batched echelon."""
+    f, m = A.field, A.field.p
+    ideal = ideal_span(A, basis)
+    if ideal.dim != len(basis):
         raise AnalysisError("radical candidate is not an ideal")
-    # repeated squaring of the ideal: dims must strictly fall to 0
-    current = [A.sparse(v) for v in basis]
-    while current:
-        nxt_span = EchelonSpan(f, A.dim)
-        nxt = []
-        for a in current:
-            for b in current:
-                prod = A.mul(a, b)
-                if prod and nxt_span.insert(A.dense(prod)):
-                    nxt.append(prod)
-        if nxt_span.dim >= len(current):
+    current = ideal.rows
+    while len(current):
+        square = EchelonSpan(f, A.dim, np.vstack(
+            [matmul_mod(current, A.right_matrix(A.sparse(b)), m) for b in current])).rows
+        if len(square) >= len(current):
             raise AnalysisError("radical candidate is not nilpotent")
-        current = nxt
+        current = square
 
 
 # -- semisimple quotient ---------------------------------------------------------
@@ -147,7 +149,7 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientDa
     span = EchelonSpan(f, A.dim, rad_rows)
     P = span.pivots
     complement = sorted(set(range(A.dim)) - set(P))
-    E = as_array(span.rows, m)[:, complement]
+    E = span.rows[:, complement]
 
     def quotient_coords(v: np.ndarray) -> np.ndarray:
         # the radical's RREF is zero at every pivot but its own, so
@@ -300,12 +302,6 @@ class WedderburnReport:
         }
 
 
-def _independent_rows(S: StructureAlgebra, rows) -> np.ndarray:
-    """The rows that are independent of the rows before them."""
-    span = EchelonSpan(S.field, S.dim)
-    return as_array([row for row in rows if span.insert(row)], S.field.p)
-
-
 def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
                          corner: np.ndarray,
                          seed: int = DEFAULT_SEED) -> Optional[Tuple[Dict[int, object], int]]:
@@ -343,7 +339,8 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
             parts = _split(S, w, e)
             if parts:
                 e = parts[0]
-                corner = _independent_rows(S, S.sandwich(e))
+                sandwich = S.sandwich(e)
+                corner = sandwich[rank_profile(sandwich, f)]
                 break
         else:
             return None
@@ -370,7 +367,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     caveats = []
     for eps in idems:
         sandwich = S.sandwich(eps)
-        corner = _independent_rows(S, sandwich)
+        corner = sandwich[rank_profile(sandwich, f)]
         bdim = len(corner)
         # row t of cen (L_eps R_eps) is eps z_t eps: the block's center
         kdeg = EchelonSpan(f, S.dim, matmul_mod(as_array(cen, f.p), sandwich, f.p)).dim

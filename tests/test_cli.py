@@ -1,9 +1,13 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.cli import _parameters_from_args, main, make_parser
+from cycbmw.fields import QQ
+from cycbmw.params import ParameterSet
 from cycbmw.presentation import build_algebra, dumps_algebra
 
 GENERIC = ["--field", "gfp:101", "--q", "2", "--u", "4", "--admissible"]
@@ -149,6 +153,32 @@ def test_analyze_roundtrip(tmp_path, capsys):
         assert info["division_dim"] == 1 and info["dim"] == info["matrix_size"] ** 2
     assert sorted((b["matrix_size"] for b in payload["block_info"]),
                   reverse=True) == payload["blocks"]
+
+
+# sha256 of the `cycbmw analyze` JSON of the four GF(101) instances of the
+# analyze benchmark and of Q B(1,3): (n, parameters, variant, digest)
+ANALYZE_PINS = {
+    "gf101_b14": (4, lambda: generic_parameters(1), "bmw",
+                  "5052199dbbabea931366f4a0340bdc211c91f423bf9abf81de95abef9201fc2e"),
+    "gf101_semi_b23": (3, semi_parameters, "bmw",
+                       "21fc79d030e988aaf0b035bbbe04993dcd081eb8a4132e7472df9e675b4db888"),
+    "gf101_ak_b23": (3, lambda: generic_parameters(2), "ariki_koike",
+                     "2ddb1ff185335b31245beddc2ec2a03482ee1b83c532351c2f158fbd4fd4648c"),
+    "gf101_b32": (2, lambda: generic_parameters(3), "bmw",
+                  "d205659c56b96336ff01d1c7b5ca0aa20ea0d74cbecdc14a2ff3fc06194fe33d"),
+    "q_b13": (3, lambda: ParameterSet(QQ, 2, 1, [1], admissible=True), "bmw",
+              "c0fef064ff772313d2c14386a8cdeb75fa66cad59cf6c1b536058b52a67a9f88"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
+def test_analyze_json_is_pinned(name, tmp_path, capsys):
+    n, params, variant, digest = ANALYZE_PINS[name]
+    dump = tmp_path / f"{name}.json"
+    dump.write_text(dumps_algebra(build_algebra(n, params(), variant=variant)))
+    code, out, _ = run(capsys, "analyze", str(dump))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_analyze_ariki_koike_dump(tmp_path, capsys):

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import GF as SymGF, QQ as SymQQ
 from sympy.polys.matrices import DomainMatrix
 
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import (EchelonSpan, RowBasis, dtype_for, fraction_free, from_fraction_free,
-                           matmul, matmul_mod, nullspace, rank, rref)
+from cycbmw.linalg import (EchelonSpan, RowBasis, as_array, dtype_for, echelon, fraction_free,
+                           from_fraction_free, matmul, matmul_mod, nullspace, rank,
+                           rank_profile, rref)
 
 
 def test_matmul_no_int64_overflow_near_2_31():
@@ -226,3 +228,76 @@ def test_rowbasis_coords_of_a_matrix(field):
     assert empty.coords(np.zeros((0, n), dtype=object)) == []
     assert empty.coords([[field.zero()] * n] * 2) == [[], []]
     assert empty.coords([[field.zero()] * n, [field.one()] + [field.zero()] * (n - 1)]) is None
+
+
+# -- the batched echelon kernel ---------------------------------------------------
+
+# GF(2), a small prime, the largest prime on the int64 path, 2^61 - 1 (object
+# ints) and Q (fraction-free integer elimination)
+KERNEL_FIELDS = [GF(2), GF(101), GF(3037000493), GF(2**61 - 1), QQ]
+KERNEL_IDS = ["p2", "p101", "p3037000493", "p2^61-1", "Q"]
+
+
+def _edge_shapes(field):
+    rng = random.Random(17)
+    wide = _random_matrix(rng, field, 3, 8)
+    return {
+        "0x5": ([], 5),
+        "3x0": ([[], [], []], 0),
+        "all-zero": ([[field.zero()] * 4] * 3, 4),
+        "tall": (_random_matrix(rng, field, 9, 4), 4),
+        "tall-rank-2": (_random_matrix(rng, field, 9, 5, rank_at_most=2), 5),
+        "wide": (wide, 8),
+        "repeated-rows": ([wide[1], wide[0], wide[1], wide[2], wide[0]], 8),
+    }
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_echelon_matches_sympy_on_edge_shapes(field):
+    m = field.p
+    for name, (M, ncols) in _edge_shapes(field).items():
+        red, piv = _to_sympy(M, ncols, field).rref()
+        want = [row for row in _from_sympy(red, field) if any(row)]
+        a = as_array(M, m).reshape(len(M), ncols)
+        before = a.copy()
+        E, pivots = echelon(a, m)
+        assert np.array_equal(a, before), name          # the input is not modified
+        assert E.shape == (len(want), ncols) and E.dtype == dtype_for(m), name
+        assert (E.tolist(), pivots) == (want, list(piv)), name
+        if field == QQ:
+            assert all(type(c) is Fraction for c in E.flat), name
+        span = EchelonSpan(field, ncols)
+        assert rank_profile(a, field) == [i for i, row in enumerate(M) if span.insert(row)]
+
+
+HYPOTHESIS_FIELDS = [GF(2), GF(7), GF(3037000493), GF(2**61 - 1), QQ]
+
+
+@st.composite
+def _row_lists(draw):
+    """(field, ncols, rows): small entries, so that rows are often dependent,
+    and some rows repeated."""
+    field = draw(st.sampled_from(HYPOTHESIS_FIELDS))
+    ncols = draw(st.integers(0, 6))
+    if field == QQ:
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    else:
+        entry = st.integers(-2, 2).map(field.of_int)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return field, ncols, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_row_lists())
+def test_whole_echelon_equals_sequential_inserts(case):
+    field, ncols, rows = case
+    one_by_one = EchelonSpan(field, ncols)
+    grew = [i for i, row in enumerate(rows) if one_by_one.insert(row)]
+    at_once = EchelonSpan(field, ncols, rows)
+    assert at_once.row_lists() == one_by_one.row_lists()
+    assert at_once.pivots == one_by_one.pivots
+    # the row rank profile is exactly where a sequential insert grew the span
+    a = as_array(rows, field.p).reshape(len(rows), ncols)
+    assert rank_profile(a, field) == grew

@@ -22,17 +22,17 @@ from cycbmw.presentation import (BuildError, E, G, X, StructureAlgebra, build_al
 from cycbmw.rewriting import CompletionError, RewriteSystem, complete
 
 F = GF(101)
-Q2 = F(2)
 
 
-def generic(r, sep=4):
-    u = [(Q2 * Q2) ** (1 + sep * i) for i in range(r)]
-    prod = F(1)
+def generic(r, sep=4, field=F):
+    q = field(2)
+    u = [(q * q) ** (1 + sep * i) for i in range(r)]
+    prod = field(1)
     for x in u:
         prod = prod * x
-    alpha = F(1) if r % 2 else Q2.inv()
+    alpha = field(1) if r % 2 else q.inv()
     rho = (alpha * prod).inv()
-    return ParameterSet(F, Q2, rho, u, admissible=True)
+    return ParameterSet(field, q, rho, u, admissible=True)
 
 
 def omega_zero():
@@ -514,10 +514,28 @@ def test_each_generator_action_is_reduced_once(monkeypatch):
     (3, semi_21, "bmw"),
     (3, lambda: generic(2), "ariki_koike"),
     (1, lambda: generic(3), "bmw"),
-], ids=["b13", "semi_b23", "ak_b23", "b31"])
+    (3, lambda: generic(1, field=QQ), "bmw"),
+    (2, lambda: ParameterSet(QQ, 2, 1, [1, 4, Fraction(1, 4)], admissible=True), "bmw"),
+    (2, lambda: generic(3, field=GF(2**61 - 1)), "bmw"),
+], ids=["b13", "semi_b23", "ak_b23", "b31", "q_b13", "q_b32", "gf2p61_b32"])
 def test_dump_load_dump_is_byte_identical(n, params, variant):
     text = dumps_algebra(build_algebra(n, params(), variant=variant))
     assert dumps_algebra(load_algebra(json.loads(text))) == text
+
+
+@pytest.mark.parametrize("field", [F, QQ, GF(2**61 - 1)], ids=["p101", "Q", "p2^61-1"])
+def test_load_and_from_table_make_the_same_arrays(field):
+    A = build_algebra(3, generic(1, field=field))
+    blob = json.loads(dumps_algebra(A))
+    L = load_algebra(blob)
+    # the same table, handed over in reverse (i, j) order
+    table = {(i, j): tuple((k, field.parse(c)) for k, c in entries)
+             for i, j, entries in reversed(blob["products"])}
+    T = StructureAlgebra.from_table(field, table, A.dim, L.unit(), labels=L.labels)
+    for x, y, z in zip(L.structure_constants(), T.structure_constants(),
+                       A.structure_constants()):
+        assert x.dtype == y.dtype == z.dtype
+        assert x.tolist() == y.tolist() == z.tolist()
 
 
 def test_dump_rejects_corner(algebras):
@@ -545,6 +563,28 @@ def test_load_rejects_corruption():
     entry[2][0][1] = "0"
     with pytest.raises(BuildError, match="corrupted algebra dump: .*zero"):
         load_algebra(bad3)
+
+
+def test_load_rejects_repeated_product():
+    blob = dump_algebra(build_algebra(2, generic(1)))
+    assert blob["products"][0] == [0, 0, [[0, "1"]]]
+    # a later entry for b0 b0 would silently win: b0 b0 = 5 b1
+    blob["products"].append([0, 0, [[1, "5"]]])
+    with pytest.raises(BuildError, match=r"^corrupted algebra dump: repeated product \(0, 0\)$"):
+        load_algebra(blob)
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, "54"], [1, "3"]],
+    "reversed",
+], ids=["repeated-k", "reversed-k"])
+def test_load_rejects_k_not_strictly_increasing(entries):
+    blob = json.loads(dumps_algebra(build_algebra(2, generic(1))))
+    t = next(t for t, (_, _, terms) in enumerate(blob["products"]) if len(terms) > 1)
+    terms = blob["products"][t][2]
+    blob["products"][t][2] = terms[::-1] if entries == "reversed" else entries
+    with pytest.raises(BuildError, match="corrupted algebra dump: .*not strictly increasing"):
+        load_algebra(blob)
 
 
 def _set_k(value):

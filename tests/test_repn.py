@@ -454,6 +454,20 @@ def test_nilpotent_ideal_certificate_rejects():
     repn._certify_nilpotent_ideal(D, [D.dense({1: 1}).tolist()])
 
 
+def test_nilpotent_ideal_certificate_checks_every_squaring_round():
+    # F x F[t]/(t^2) with basis e, f, t (unit e + f): I = <e, t> is an ideal
+    # whose square <e> is smaller, but <e>^2 = <e> does not fall
+    for field in (F101, QQ):
+        one = field.one()
+        table = {(i, j): () for i in range(3) for j in range(3)}
+        table.update({(0, 0): ((0, one),), (1, 1): ((1, one),), (1, 2): ((2, one),),
+                      (2, 1): ((2, one),)})
+        A = StructureAlgebra.from_table(field, table, 3, {0: one, 1: one})
+        with pytest.raises(repn.AnalysisError, match="not nilpotent"):
+            repn._certify_nilpotent_ideal(A, [[one, 0, 0], [0, 0, one]])
+        repn._certify_nilpotent_ideal(A, [[0, 0, one]])
+
+
 def test_functor_ariki_koike_all_annihilated():
     p = generic(1)
     A = build_algebra(3, p, variant="ariki_koike")
