@@ -8,7 +8,7 @@ the cyclotomic Hecke quotient (every e_i killed) has dimension r^n n!.
 
 import time
 
-from cycbmw import GF, ParameterSet, build_algebra
+from cycbmw import GF, ParameterSet, admissible_rho, build_algebra
 
 F = GF(101)
 q = F(2)
@@ -16,11 +16,7 @@ q = F(2)
 
 def generic(r):
     u = [(q * q) ** (1 + 4 * i) for i in range(r)]
-    prod = F(1)
-    for x in u:
-        prod = prod * x
-    alpha = F(1) if r % 2 else q.inv()
-    return ParameterSet(F, q, (alpha * prod).inv(), u, admissible=True)
+    return ParameterSet(F, q, admissible_rho(q, u), u, admissible=True)
 
 
 print(f"{'algebra':>10} {'dim':>5} {'expected':>9} {'rules':>6} {'time':>7}")

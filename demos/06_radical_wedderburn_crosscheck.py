@@ -9,7 +9,7 @@ stops being semisimple.
 
 import time
 
-from cycbmw import (GF, Multicharge, ParameterSet, build_algebra,
+from cycbmw import (GF, Multicharge, ParameterSet, admissible_rho, build_algebra,
                     classify_cyclotomic, radical, wedderburn)
 
 F = GF(101)
@@ -18,11 +18,7 @@ q = F(2)
 
 def params(r, sep):
     u = [(q * q) ** (1 + sep * i) for i in range(r)]
-    prod = F(1)
-    for x in u:
-        prod = prod * x
-    alpha = F(1) if r % 2 else q.inv()
-    return ParameterSet(F, q, (alpha * prod).inv(), u, admissible=True)
+    return ParameterSet(F, q, admissible_rho(q, u), u, admissible=True)
 
 
 for sep, label in ((4, "well-separated charges"), (1, "adjacent charges")):

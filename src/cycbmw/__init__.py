@@ -8,7 +8,7 @@ structure theory predicts.
 """
 
 from .fields import GF, QQ, Field, FieldElement, multiplicative_order
-from .params import (AdmissibilityReport, ParameterSet, check_admissible,
+from .params import (AdmissibilityReport, ParameterSet, admissible_rho, check_admissible,
                      gamma_weights, omega, omega_vanishing_report,
                      parse_parameter_file, render_parameter_file)
 from .presentation import (StructureAlgebra, build_algebra, canonical_relations,
@@ -24,7 +24,7 @@ from .combinatorics import (IndexPair, IndexPoset, Multicharge, classify_affine,
 
 __all__ = [
     "GF", "QQ", "Field", "FieldElement", "multiplicative_order",
-    "AdmissibilityReport", "ParameterSet", "check_admissible", "gamma_weights",
+    "AdmissibilityReport", "ParameterSet", "admissible_rho", "check_admissible", "gamma_weights",
     "omega", "omega_vanishing_report", "parse_parameter_file",
     "render_parameter_file",
     "StructureAlgebra", "build_algebra", "canonical_relations",

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .fields import GF
-from .params import ParameterSet, alpha_candidates, check_admissible, gamma_weights
+from .params import (ParameterSet, admissible_rho, alpha_candidates, check_admissible,
+                     gamma_weights)
 from .presentation import (E, StructureAlgebra, build_algebra, check_omega_relations,
                            corner_algebra, gen_count, ideal_generated_by,
                            semi_admissibility_degree, truncation_idempotent)
@@ -33,14 +34,8 @@ _Q_ODD = F(16)                # order 25, so q^{-1} lies in <q^2>
 
 def generic_parameters(r: int, sep: int = 4) -> ParameterSet:
     """Admissible GF(101) parameters with well-separated multicharge."""
-    q = _Q
-    u = [(q * q) ** (1 + sep * i) for i in range(r)]
-    prod = F(1)
-    for x in u:
-        prod = prod * x
-    alpha = F(1) if r % 2 else q.inv()
-    rho = (alpha * prod).inv()
-    return ParameterSet(F, q, rho, u, admissible=True)
+    u = [(_Q * _Q) ** (1 + sep * i) for i in range(r)]
+    return ParameterSet(F, _Q, admissible_rho(_Q, u), u, admissible=True)
 
 
 def semi_parameters() -> ParameterSet:
@@ -133,11 +128,7 @@ def _crit_omega(ctx: Context) -> Tuple[bool, str]:
             cand = F(rng.randrange(1, P))
             if cand not in u:
                 u.append(cand)
-        prod = F(1)
-        for x in u:
-            prod = prod * x
-        alpha = rng.choice(alpha_candidates(q, r))
-        rho = (alpha * prod).inv()
+        rho = admissible_rho(q, u, rng.choice(alpha_candidates(q, r)))
         try:
             p = ParameterSet(F, q, rho, u, admissible=True)
         except Exception as exc:
@@ -255,10 +246,9 @@ def _crit_combinatorics(ctx: Context) -> Tuple[bool, str]:
 def _crit_properties(ctx: Context) -> Tuple[bool, str]:
     t0 = time.monotonic()
     rng = random.Random(ctx.seed)
-    f = F
     for (r, n) in DIMENSION_TARGETS:
         A = ctx.algebra(r, n)
-        one = f.one()
+        one = F.one()
         for _ in range(1000):
             i, j, k = (rng.randrange(A.dim) for _ in range(3))
             left = A.mul(A.mul({i: one}, {j: one}), {k: one})
@@ -269,8 +259,8 @@ def _crit_properties(ctx: Context) -> Tuple[bool, str]:
             if A.star(coords) != coords:
                 return False, f"* moves generator {name} in B_{{{r},{n}}}"
         for _ in range(200):
-            a = {rng.randrange(A.dim): f.of_int(rng.randrange(1, P))}
-            b = {rng.randrange(A.dim): f.of_int(rng.randrange(1, P))}
+            a = {rng.randrange(A.dim): F.of_int(rng.randrange(1, P))}
+            b = {rng.randrange(A.dim): F.of_int(rng.randrange(1, P))}
             if A.star(A.mul(a, b)) != A.mul(A.star(b), A.star(a)):
                 return False, f"*(ab) != b*a* in B_{{{r},{n}}}"
     # dominance is a partial order: exhaustive for m <= 5, r <= 2
@@ -295,24 +285,12 @@ def _crit_properties(ctx: Context) -> Tuple[bool, str]:
     for _ in range(1000):
         word1 = bytes(rng.choice(gens) for _ in range(rng.randrange(0, 7)))
         word2 = bytes(rng.choice(gens) for _ in range(rng.randrange(0, 7)))
-        c1, c2 = f.of_int(rng.randrange(1, P)), f.of_int(rng.randrange(1, P))
-        el = {word1: c1}
-        if word2 in el:
-            el[word2] = f.add(el[word2], c2)
-        else:
-            el[word2] = c2
-        nf1 = rules.reduce(el)
+        c1, c2 = F.of_int(rng.randrange(1, P)), F.of_int(rng.randrange(1, P))
+        nf1 = rules.reduce(F.lincomb(((1, {word1: c1}), (1, {word2: c2}))))
         if rules.reduce(nf1) != nf1:
             return False, "normal form not idempotent"
         parts = rules.reduce({word1: c1}), rules.reduce({word2: c2})
-        merged: dict = dict(parts[0])
-        for w, c in parts[1].items():
-            s = f.add(merged.get(w, f.zero()), c)
-            if s:
-                merged[w] = s
-            elif w in merged:
-                del merged[w]
-        if merged != nf1:
+        if F.lincomb(((1, parts[0]), (1, parts[1]))) != nf1:
             return False, "normal form not linear"
     elapsed = time.monotonic() - t0
     return elapsed < 120.0, f"associativity/star/dominance/normal-form; {elapsed:.1f}s < 120s"

@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .fields import Field
-from .params import ParameterSet, alpha_candidates, parse_parameter_file
+from .params import ParameterSet, admissible_rho, parse_parameter_file
 from .presentation import (build_algebra, dumps_algebra, load_algebra,
                            semi_admissibility_degree)
 from .repn import DEFAULT_SEED, AnalysisError, radical, wedderburn
@@ -79,13 +79,7 @@ def _parameters_from_args(args) -> ParameterSet:
         if not admissible:
             raise CliError("--rho is required for non-admissible parameters")
         # derive rho from the first allowed alpha: rho^{-1} = alpha prod(u)
-        q = field(args.q_val)
-        uf = [field(x) for x in u]
-        prod = field(1)
-        for x in uf:
-            prod = prod * x
-        rho_elem = (alpha_candidates(q, len(uf))[0] * prod).inv()
-        return ParameterSet(field, q, rho_elem, uf, admissible=True)
+        rho = admissible_rho(field(args.q_val), [field(x) for x in u])
     return ParameterSet(field, args.q_val, rho, u, admissible=admissible,
                         omegas=omegas)
 

@@ -9,11 +9,16 @@ A `Field` instance doubles as the descriptor ("which field") and as the
 arithmetic kernel: the engine-facing methods (`add`, `mul`, `inv`, ...)
 act on *raw* values (int residues or Fraction) for speed, while
 `FieldElement` wraps a raw value together with its field for the public,
-operator-friendly API.
+operator-friendly API.  Every raw value a method returns is canonical.
+
+`Field.lincomb` is the one kernel for sparse linear combinations, dicts
+{key: raw coeff} keyed by words or by indices: it adds plain ints (or
+Fractions), reduces each sum once at the end and drops the cancelled keys.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 import sympy
@@ -124,6 +129,20 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return not a
+
+    def lincomb(self, terms) -> dict:
+        """sum c v over the (c, v) in `terms`, each v a sparse {key: coeff}
+        of raw values: the products are added unreduced and each sum is
+        reduced once; zero sums are dropped, and the keys keep the order in
+        which they first appear."""
+        acc: dict = defaultdict(int)
+        for c, v in terms:
+            for key, d in v.items():
+                acc[key] += c * d
+        p = self.p
+        if p:
+            return {key: r for key, s in acc.items() if (r := s % p)}
+        return {key: s for key, s in acc.items() if s}
 
     # -- string format ------------------------------------------------------
     # GF(p): canonical decimal residue.  Q: "n" or "n/d" with gcd(n,d)=1, d>0.

@@ -24,6 +24,7 @@ Always, independent of admissibility:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -236,6 +237,13 @@ def alpha_candidates(q, r: Optional[int] = None):
         q, r = q.q, q.r
     f = q.field
     return [f(1), f(-1)] if r % 2 else [q.inv(), -q]
+
+
+def admissible_rho(q, u: Sequence, alpha=None):
+    """rho = (alpha u_1 ... u_r)^{-1}, the rho that makes (q, rho, u)
+    admissible with witness alpha (default: alpha_candidates(q, r)[0])."""
+    alpha = alpha_candidates(q, len(u))[0] if alpha is None else alpha
+    return math.prod(u, start=alpha).inv()
 
 
 def check_admissible(p: ParameterSet) -> AdmissibilityReport:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import Field, FieldElement
+from .fields import Field
 from .linalg import (EchelonSpan, RowBasis, as_array, fraction_free, from_fraction_free,
                      matmul_mod, reduce_mod, scatter_add, zeros)
 from .params import ParameterSet, omega
@@ -134,21 +134,11 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
     if orientation13 not in ("x1", "x1inv"):
         raise BuildError(f"unknown relation-13 orientation {orientation13!r}")
     f = p.field
-    one = f.one()
+    one = f(1)
     eqs: List[dict] = []
 
     def eq(*terms):
-        d: dict = {}
-        for word, coeff in terms:
-            c = coeff.value if isinstance(coeff, FieldElement) else coeff
-            if word in d:
-                s = f.add(d[word], c)
-                if s:
-                    d[word] = s
-                else:
-                    del d[word]
-            elif c:
-                d[word] = c
+        d = f.lincomb((c.value, {word: 1}) for word, c in terms)
         if d:
             eqs.append(d)
 
@@ -175,7 +165,7 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
         eq((e + g, one), (e, -rho))
         eq((g + e, one), (e, -rho))
         # (12) after inverse elimination: g^2 = 1 + delta g - delta rho e
-        eq((g + g, one), (b"", -f.one()), (g, -delta), (e, delta * rho))
+        eq((g + g, one), (b"", -one), (g, -delta), (e, delta * rho))
 
     for i in range(n - 2):
         e1, e2 = es[i], es[i + 1]
@@ -511,15 +501,8 @@ class StructureAlgebra:
     def star(self, coords: Dict[int, object]) -> Dict[int, object]:
         """The anti-involution fixing every generator: reverse words, reduce."""
         self._need_words()
-        rev = {}
-        f = self.field
-        for i, c in coords.items():
-            w = bytes(reversed(self.words[i]))
-            if w in rev:
-                rev[w] = f.add(rev[w], c)
-            else:
-                rev[w] = c
-        return self.nf_element(rev)
+        # reversal is one-to-one on words: no two terms meet
+        return self.nf_element({self.words[i][::-1]: c for i, c in coords.items()})
 
 
 # -- building -----------------------------------------------------------------
@@ -663,16 +646,13 @@ def check_omega_relations(A: StructureAlgebra, p: ParameterSet, a_max: int) -> O
     A._need_words()
     if A.n < 2:
         raise BuildError("omega relations need n >= 2")
-    f = A.field
     e1 = bytes((E(1, A.n),))
     x = bytes((X(A.n),))
     e1_coords = A.nf_word(e1)
     entries = []
     for a in range(a_max + 1):
         lhs = A.nf_word(e1 + x * a + e1)
-        om = omega(p, a)
-        rhs = {i: f.mul(om.value, c) for i, c in e1_coords.items() if f.mul(om.value, c)}
-        entries.append((a, lhs == rhs))
+        entries.append((a, lhs == A.field.lincomb(((omega(p, a).value, e1_coords),))))
     return OmegaRelationReport(entries)
 
 
@@ -720,7 +700,6 @@ def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, obj
     n = A.n
     if n < 2:
         raise BuildError("truncation idempotent needs n >= 2")
-    f = A.field
     if not p.omega0.is_zero():
         w = bytes((E(n - 1, n),))
         scale = p.omega0.inv().value
@@ -729,7 +708,7 @@ def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, obj
             raise BuildError("omega_0 = 0 branch needs n >= 3 (uses g_{n-2})")
         w = bytes((E(n - 1, n), G(n - 2, n)))
         scale = p.rho.value
-    coords = {i: f.mul(scale, c) for i, c in A.nf_word(w).items()}
+    coords = A.field.lincomb(((scale, A.nf_word(w)),))
     if A.mul(coords, coords) != coords:
         raise BuildError("constructed element is not idempotent; presentation broken")
     return coords
@@ -815,7 +794,17 @@ def load_algebra(blob: dict) -> StructureAlgebra:
             t = int(np.argmax(seen != 1))
             raise ValueError(f"repeated product ({t // dim}, {t % dim})" if seen[t]
                              else "product table is incomplete")
-        C = as_array([field.parse(c) for _, _, entries in products for _, c in entries], field.p)
+        consts = [c for _, _, entries in products for _, c in entries]
+        bad = [c for c in consts if type(c) is not str]
+        if bad:
+            raise ValueError(f"structure constant {bad[0]!r} is not a string")
+        # each distinct string is parsed once and must be its value's rendering
+        values = {s: field.parse(s) for s in dict.fromkeys(consts)}
+        bad = [s for s, c in values.items() if field.render(c) != s]
+        if bad:
+            raise ValueError(f"structure constant {bad[0]!r} is not in canonical form")
+        C = as_array([values[s] for s in consts], field.p)
+        del consts   # as large as C: freed before the sort in from_constants
         # a canonical dump lists nonzero constants only
         if np.count_nonzero(C) < len(C):
             raise ValueError("a structure constant is zero")

@@ -1,7 +1,10 @@
 """Noncommutative rewriting over a field: normal forms and completion.
 
 Words are `bytes` over a finite alphabet of generator ids; elements are
-sparse dicts word -> raw field coefficient.  The monomial order is
+sparse dicts word -> raw field coefficient.  While an element is summed
+it holds raw, unreduced sums, each reduced once when complete: by
+`Field.lincomb`, and in `RewriteSystem.reduce` when its word is popped.
+The monomial order is
 degree-lex: compare length first, then the byte string (so generator
 precedence is the numeric order of the ids, ties broken left to right).
 
@@ -106,9 +109,10 @@ class RewriteSystem:
         will ever receive has been accumulated, and like terms have
         cancelled, before that word is reduced or written to the result.
         A rewrite step yields only strictly smaller words, so a popped word
-        never returns: each word is reduced once or emitted once.
+        never returns: each word is reduced once or emitted once.  Its
+        coefficient is a raw sum, reduced to a canonical value on the pop.
         """
-        field = self.field
+        p = self.field.p
         rules = self.rules
         out: dict[bytes, object] = {}
         work = dict(elem)
@@ -118,6 +122,8 @@ class RewriteSystem:
         while heap:
             w = heapq.heappop(heap)[2]
             c = work.pop(w)
+            if p:
+                c %= p
             if not c:
                 continue
             m = self.find_redex(w)
@@ -129,28 +135,15 @@ class RewriteSystem:
             post = w[pos + len(lhs):]
             for rw, rc in rules[lhs].items():
                 nw = pre + rw + post
-                nc = field.mul(c, rc)
                 if nw in work:
-                    work[nw] = field.add(work[nw], nc)
+                    work[nw] += c * rc
                 else:
-                    work[nw] = nc
+                    work[nw] = c * rc
                     heapq.heappush(heap, (-len(nw), nw.translate(_COMPLEMENT), nw))
         return out
 
     def reduce_word(self, w: bytes) -> dict:
         return self.reduce({w: self.field.one()})
-
-
-def _lincomb(m: int, terms) -> dict:
-    """sum c v over the (c, v) in `terms`, v sparse {index: coeff}, with
-    raw coefficients: reduced mod m at the end (m = 0 is Q)."""
-    acc: dict = defaultdict(int)
-    for c, v in terms:
-        for i, d in v.items():
-            acc[i] += c * d
-    if m:
-        return {i: r for i, s in acc.items() if (r := s % m)}
-    return {i: s for i, s in acc.items() if s}
 
 
 class Basis:
@@ -166,7 +159,7 @@ class Basis:
     """
 
     def __init__(self, rs: RewriteSystem, words: list, letters: int):
-        self.m, self.one = rs.field.p, rs.field.one()
+        self.field, self.one = rs.field, rs.field.one()
         self.words = words
         self.index = index = {w: k for k, w in enumerate(words)}
         self.actions: list = [[None] * len(words) for _ in range(letters)]
@@ -180,8 +173,8 @@ class Basis:
                     row = {index[wg]: self.one}
                 else:
                     pre = index[wg[:redex[0]]]
-                    row = _lincomb(self.m, ((c, self.times(pre, w, memo))
-                                            for w, c in rs.rules[redex[1]].items()))
+                    row = self.field.lincomb((c, self.times(pre, w, memo))
+                                             for w, c in rs.rules[redex[1]].items())
                 self.actions[g][k] = row
 
     def times(self, k: int, u: bytes, memo: dict) -> dict:
@@ -196,8 +189,8 @@ class Basis:
         out = memo.get(key)
         if out is None:
             rest = u[1:]
-            out = memo[key] = _lincomb(self.m, ((c, self.times(j, rest, memo))
-                                                for j, c in self.actions[u[0]][k].items()))
+            out = memo[key] = self.field.lincomb((c, self.times(j, rest, memo))
+                                                 for j, c in self.actions[u[0]][k].items())
         return out
 
 
@@ -239,23 +232,9 @@ def _overlap_triples(lhss: list):
 
 def _s_element(rs: RewriteSystem, a: bytes, b: bytes, ov: int) -> dict:
     """The ambiguity word a + b[ov:] rewritten two ways: (rhs a) tail - head (rhs b)."""
-    field = rs.field
-    tail = b[ov:]
-    head = a[:len(a) - ov]
-    left = {}
-    for w, c in rs.rules[a].items():
-        left[w + tail] = c
-    for w, c in rs.rules[b].items():
-        nw = head + w
-        if nw in left:
-            s = field.sub(left[nw], c)
-            if s:
-                left[nw] = s
-            else:
-                del left[nw]
-        else:
-            left[nw] = field.neg(c)
-    return left
+    tail, head = b[ov:], a[:len(a) - ov]
+    return rs.field.lincomb(((1, {w + tail: c for w, c in rs.rules[a].items()}),
+                             (-1, {head + w: c for w, c in rs.rules[b].items()})))
 
 
 def overlap_differences(rs: RewriteSystem, basis: Basis | None = None):
@@ -277,7 +256,7 @@ def overlap_differences(rs: RewriteSystem, basis: Basis | None = None):
         tail, head = b[ov:], index[a[:len(a) - ov]]
         left = ((c, basis.times(index[w], tail, memo)) for w, c in rs.rules[a].items())
         right = ((-c, basis.times(head, w, memo)) for w, c in rs.rules[b].items())
-        d = _lincomb(basis.m, itertools.chain(left, right))
+        d = rs.field.lincomb(itertools.chain(left, right))
         yield a, b, ov, {words[i]: c for i, c in d.items()}
 
 
@@ -364,18 +343,14 @@ def complete(equations, field: Field, degree_cap: int,
         if stats.rules_added + stats.rules_removed > max_rule_events:
             raise CompletionError("completion did not stabilize (rule event budget)", stats)
         stats.max_rule_degree = max(stats.max_rule_degree, len(lead))
-        inv = field.inv(elem[lead])
-        rhs = {w: field.neg(field.mul(c, inv)) for w, c in elem.items() if w != lead}
+        rhs = field.lincomb(((-field.inv(elem.pop(lead)), elem),))
         # keep the set reduced: any rule whose lhs contains the new lhs
         # goes back into the queue as an equation
         stale = [L for L in rs.rules if lead in L]
         for L in stale:
-            eq = {L: field.one()}
-            for w, c in rs.rules[L].items():
-                eq[w] = field.neg(c) if w not in eq else field.add(eq[w], field.neg(c))
+            pending.append(field.lincomb(((1, {L: field.one()}), (-1, rs.rules[L]))))
             rs.remove_rule(L)
             stats.rules_removed += 1
-            pending.append(eq)
         rs.add_rule(lead, rhs)
         queue_overlaps(lead)
 

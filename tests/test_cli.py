@@ -207,6 +207,30 @@ def test_analyze_corrupted_dump(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", [7, None, ["7"], "205", "-100", "+7", " 7"],
+                         ids=["number", "null", "list", "205", "-100", "+7", "space"])
+def test_analyze_refuses_non_canonical_constant(tmp_path, capsys, value):
+    blob = json.loads(dumps_algebra(build_algebra(2, generic_parameters(1))))
+    entry = blob["products"][len(blob["basis"])]
+    assert entry[:2] == [1, 0] and entry[2]
+    entry[2][0][1] = value
+    dump = tmp_path / "bad.json"
+    dump.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "analyze", str(dump))
+    assert code == 1 and not out
+    assert err.startswith("error: corrupted algebra dump: structure constant ")
+
+
+def test_derived_rho_refuses_explicit_omegas(capsys):
+    # admissible parameters derive their omegas; a given --omega is refused,
+    # with --rho given or derived from u
+    base = ["build", "--n", "1", "--field", "gfp:101", "--q", "2", "--u", "4,16", "--omega", "5"]
+    code, out, err = run(capsys, *base)
+    assert code == 1 and not out and "explicit omegas" in err
+    code, out, err = run(capsys, *base, "--rho", "60")
+    assert code == 1 and not out and "explicit omegas" in err
+
+
 def test_semiadmissible_command(capsys):
     code, out, err = run(capsys, "semiadmissible", *GENERIC)
     assert code == 0 and out.strip() == "1"

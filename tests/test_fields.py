@@ -174,3 +174,51 @@ def test_of_int_parse_render_round_trip(field, data, n):
     else:
         assert field.of_int(n) == n % field.p
         assert field.render(field.of_int(n)) == str(n % field.p)
+
+
+def test_lincomb_cases():
+    F = GF(101)
+    # a cancelled key is dropped; negative raw values come back as residues
+    assert F.lincomb([(1, {b"a": 3, b"b": 2}), (-1, {b"a": 3})]) == {b"b": 2}
+    assert F.lincomb([(-1, {0: 1}), (1, {1: -205})]) == {0: 100, 1: 98}
+    assert F.lincomb([(2**70, {0: -(2**70)})]) == {0: (-(2**140)) % 101}
+    # Q keeps Fractions, and a Q sum that cancels is dropped too
+    out = QQ.lincomb([(Fraction(1, 2), {0: Fraction(2, 3)}), (Fraction(1), {0: Fraction(1, 6)}),
+                      (Fraction(-1), {1: Fraction(1, 3)}), (Fraction(1, 3), {1: Fraction(1)})])
+    assert out == {0: Fraction(1, 2)} and type(out[0]) is Fraction
+    # bytes keys and int keys
+    assert F.lincomb([(3, {b"\x00\x01": 50})]) == {b"\x00\x01": 49}
+    assert F.lincomb([(3, {7: 50})]) == {7: 49}
+    # empty terms, and terms with empty vectors
+    for field in (F, QQ):
+        assert field.lincomb([]) == {} and field.lincomb([(1, {})]) == {}
+    # the keys come out in order of first appearance
+    out = F.lincomb([(1, {2: 1, 0: 1}), (1, {5: 1, 2: 1}), (1, {0: 100, 9: 4})])
+    assert list(out.items()) == [(2, 2), (5, 1), (9, 4)]
+    # the terms may be a generator, consumed once
+    assert F.lincomb((c, {0: 1}) for c in range(5)) == {0: 10}
+
+
+LINCOMB_FIELDS = [GF(2), GF(101), GF(2**61 - 1), QQ]
+
+
+@pytest.mark.parametrize("field", LINCOMB_FIELDS,
+                         ids=[f.descriptor_string() for f in LINCOMB_FIELDS])
+@DETERMINISTIC
+@given(data=st.data())
+def test_lincomb_equals_field_element_sums(field, data):
+    """The kernel's unreduced sums agree with FieldElement arithmetic, key
+    order included (first appearance, cancelled keys left out)."""
+    # raw scalars may be unreduced, as the callers' -1 and -c are
+    scalar = (st.fractions(max_denominator=10**6) if field == QQ
+              else st.integers(-3 * field.p, 3 * field.p))
+    keys = st.one_of(st.integers(0, 4), st.binary(max_size=2))
+    terms = data.draw(st.lists(st.tuples(scalar, st.dictionaries(keys, raw_values(field),
+                                                                 max_size=5)), max_size=6))
+    want: dict = {}
+    for c, v in terms:
+        for key, d in v.items():
+            want[key] = want.get(key, field(0)) + field(c) * field(d)
+    out = field.lincomb(terms)
+    assert list(out.items()) == [(key, x.value) for key, x in want.items() if x]
+    assert all(canonical(field, c) for c in out.values())

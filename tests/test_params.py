@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from cycbmw.acceptance import generic_parameters
 from cycbmw.fields import GF, QQ
 from cycbmw.params import (AdmissibilityError, DistinctParameterError,
-                           ParameterError, ParameterSet, check_admissible,
+                           ParameterError, ParameterSet, admissible_rho,
+                           alpha_candidates, check_admissible,
                            gamma_weights, omega, omega_vanishing_report,
                            parse_parameter_file, render_parameter_file)
 
@@ -194,3 +196,24 @@ def test_parameter_file_flag_values():
     for flag, want in (("true", True), ("1", True), ("Yes", True),
                        ("false", False), ("0", False), ("NO", False)):
         assert parse_parameter_file(base + f"admissible = {flag}\n").admissible is want
+
+
+def test_admissible_rho():
+    rng = random.Random(5)
+    for r in (1, 2, 3, 4):
+        p = random_admissible(rng, r)
+        prod = F101(1)
+        for x in p.u:
+            prod = prod * x
+        alphas = alpha_candidates(p.q, r)
+        # the default witness is the first allowed alpha
+        assert admissible_rho(p.q, p.u) == (alphas[0] * prod).inv()
+        for alpha in alphas:
+            rho = admissible_rho(p.q, p.u, alpha)
+            assert rho * alpha * prod == F101(1)
+            assert ParameterSet(F101, p.q, rho, p.u, admissible=True).alpha == alpha
+    for r in (1, 2, 3):
+        p = generic_parameters(r)
+        assert p.rho == admissible_rho(p.q, p.u) and p.alpha == alpha_candidates(p.q, r)[0]
+    q, u = QQ(2), [QQ(3), QQ("1/5")]
+    assert admissible_rho(q, u) == (q.inv() * u[0] * u[1]).inv()

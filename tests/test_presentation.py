@@ -10,6 +10,7 @@ import pytest
 from test_rewriting import pairwise_overlaps
 
 from cycbmw import presentation, rewriting
+from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
 from cycbmw.linalg import RowBasis
 from cycbmw.params import ParameterSet, omega
@@ -63,6 +64,15 @@ def test_rational_build():
     A = build_algebra(2, p)
     assert A.dim == 3
     assert sorted(A.labels) == ["1", "e1", "g1"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_coefficients_are_residues(n):
+    for p in (generic_parameters(1), generic_parameters(2), generic_parameters(3),
+              semi_parameters()):
+        for variant, orientation in (("bmw", "x1"), ("bmw", "x1inv"), ("ariki_koike", "x1")):
+            for eq in canonical_relations(n, p, variant=variant, orientation13=orientation):
+                assert eq and all(type(c) is int and 0 < c < p.field.p for c in eq.values())
 
 
 def test_relations_as_stated():
@@ -617,6 +627,44 @@ def test_load_rejects_non_integer_index(k):
     entry[2][0][0] = k
     with pytest.raises(BuildError, match="corrupted algebra dump: .*is not an integer"):
         load_algebra(blob)
+
+
+def _constant(blob):
+    """The first structure constant of the product b_1 b_0."""
+    entry = blob["products"][len(blob["basis"])]
+    assert entry[:2] == [1, 0] and entry[2]
+    return entry[2][0]
+
+
+@pytest.mark.parametrize("field,value", [
+    (F, 7), (F, None), (F, ["7"]), (F, True),
+    (F, "205"), (F, "-100"), (F, "+7"), (F, " 7"), (F, "7 "), (F, "007"),
+    (QQ, "2/4"), (QQ, "3/1"), (QQ, "1.5"), (QQ, "-0"), (QQ, "1/-2"), (QQ, 0.5),
+], ids=["p101-number", "p101-null", "p101-list", "p101-bool", "p101-205", "p101--100",
+        "p101-+7", "p101-leading-space", "p101-trailing-space", "p101-007", "Q-2/4", "Q-3/1",
+        "Q-1.5", "Q--0", "Q-1/-2", "Q-number"])
+def test_load_rejects_non_canonical_constant(field, value):
+    blob = json.loads(dumps_algebra(build_algebra(2, generic(1, field=field))))
+    _constant(blob)[1] = value
+    with pytest.raises(BuildError, match="corrupted algebra dump: "):
+        load_algebra(blob)
+
+
+def test_load_parses_each_distinct_constant_once(monkeypatch):
+    A = build_algebra(3, generic(1))
+    blob = json.loads(dumps_algebra(A))
+    consts = [c for _, _, entries in blob["products"] for _, c in entries]
+    calls = []
+    parse = type(F).parse
+    monkeypatch.setattr(type(F), "parse", lambda self, s: calls.append(s) or parse(self, s))
+    # the parameters are parsed first: count their calls on a dump that fails after them
+    with pytest.raises(BuildError, match="incomplete"):
+        load_algebra({**blob, "products": []})
+    first = len(calls)
+    calls.clear()
+    L = load_algebra(blob)
+    assert sorted(calls[first:]) == sorted(set(consts)) and len(set(consts)) < len(consts)
+    assert L.structure_constants()[3].tolist() == A.structure_constants()[3].tolist()
 
 
 def test_degree_cap_env(monkeypatch):

@@ -389,3 +389,20 @@ def test_random_system_normal_forms(field, data):
              if not any(lhs in bytes(w) for lhs in rs.rules)]
     assert enumerate_irreducible_words(rs, letters, cap, strict=False) == \
         sorted(brute, key=deglex_key)
+
+
+def test_reduce_returns_canonical_residues_of_unreduced_input():
+    F = GF(101)
+    rs = RewriteSystem(F)
+    assert rs.reduce({b"": -1, b"\x00": 205}) == {b"\x00": 3, b"": 100}
+    assert rs.reduce({b"": -101, b"\x00": 202}) == {}
+    # x^2 -> 3x - 2 (as residues 3 and 99): raw sums meet in the rewriting
+    rs.add_rule(b"\x00\x00", {b"\x00": 3, b"": 99})
+    assert rs.reduce({b"\x00\x00": -1, b"\x00": 3 + 101, b"": -5}) == {b"": 98}
+    rng = random.Random(3)
+    for _ in range(200):
+        el = {bytes(rng.randrange(2) for _ in range(rng.randrange(5))): rng.randrange(-500, 500)
+              for _ in range(4)}
+        out = rs.reduce(el)
+        assert all(type(c) is int and 0 < c < 101 for c in out.values())
+        assert out == rs.reduce({w: c % 101 for w, c in el.items()})
