@@ -84,8 +84,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 def scatter_add(index, values, size: int, m: int) -> np.ndarray:
     """Vector of length `size` holding the sum of `values` at each `index`,
-    reduced mod m.  Each value is a reduced residue below 2^32, so an int64
-    sum needs 2^31 terms to overflow, more than any index array here holds."""
+    reduced mod m.  The values need not be reduced: the caller bounds their
+    total below 2^63, so that no int64 sum overflows."""
     out = zeros(size, m)
     np.add.at(out, index, values)
     return reduce_mod(out, m)

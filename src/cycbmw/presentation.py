@@ -418,12 +418,16 @@ class StructureAlgebra:
     def _gather(self, sel: np.ndarray, factors: list, slots: np.ndarray,
                 size: int) -> np.ndarray:
         """Vector of length `size` holding at slots[t] the sum of the terms
-        C[sel[t]] * v[pos[t]] over every (v, pos) in `factors`."""
+        C[sel[t]] * v[pos[t]] over every (v, pos) in `factors`.  Over GF(p)
+        the terms are reduced once, by the scatter, when the bound on their
+        total, len(sel) (p-1)^(len(factors)+1), is below 2^63, and after
+        each factor otherwise."""
         m = self.field.p
         if m:
             vals = self.structure_constants()[3][sel]
+            once = len(sel) * (m - 1) ** (len(factors) + 1) < 2**63
             for v, pos in factors:
-                vals = reduce_mod(v[pos] * vals, m)
+                vals = v[pos] * vals if once else reduce_mod(v[pos] * vals, m)
             return scatter_add(slots, vals, size, m)
         if self._numerators is None:
             self._numerators = fraction_free(self.structure_constants()[3])
@@ -787,6 +791,7 @@ def load_algebra(blob: dict) -> StructureAlgebra:
             raise ValueError(f"product index {bad[0]!r} is not an integer")
         if index and not 0 <= min(index) <= max(index) < dim:
             raise ValueError(f"a product index lies outside range({dim})")
+        del index   # every index again: only the two checks above read it
         PI, PJ = np.array(heads, dtype=np.int64).reshape(-1, 2).T
         # every product (i, j) once: the first that is not names the fault
         seen = np.bincount(PI * dim + PJ, minlength=dim * dim)

@@ -8,7 +8,11 @@ echelon, on every field), Wedderburn block data of the semisimple
 quotient through its center, explicit simple right modules via primitive
 idempotents, and the idempotent-truncation functor M -> M e.  The central
 idempotents are split inside the center algebra Z, not inside the
-quotient: dim Z is the sum of the blocks' center degrees.
+quotient: dim Z is the sum of the blocks' center degrees.  Z is
+commutative, so eps z eps = eps z, and the split stops once it holds dim Z
+idempotents.  A central idempotent eps has eps b_i eps = b_i eps, so the
+sandwich L_eps R_eps that spans the block eps S eps is R_eps itself; the
+certificate eps^2 = eps is read from the same matrix.
 
 Idempotents are cut by one step, `_split(S, w, e)`, along the coprime
 primary factors of the minimal polynomial of w in e S e (the finite-field
@@ -244,7 +248,10 @@ def central_primitive_idempotents(S: StructureAlgebra,
     The splitting runs inside the center algebra Z, of dimension
     k = len(center_rows), built by `StructureAlgebra.from_rows`; Z -> S,
     x -> x.center_rows, is an injective algebra map, so minimal
-    polynomials and idempotents are those of S."""
+    polynomials and idempotents are those of S.  Round b splits each eps
+    along eps z_b (= eps z_b eps, Z being commutative); once there are k
+    idempotents each eps Z is 1-dimensional and no later round splits.
+    `wedderburn` certifies e^2 = e for each result."""
     f = S.field
     m = f.p
     if not center_rows:
@@ -252,15 +259,12 @@ def central_primitive_idempotents(S: StructureAlgebra,
     Z = StructureAlgebra.from_rows(S, center_rows, S.unit())
     idems = [Z.unit()]
     for b in range(Z.dim):
+        if len(idems) == Z.dim:
+            break
         z = {b: f.one()}
-        idems = [part for eps in idems
-                 for part in _split(Z, Z.mul(Z.mul(eps, z), eps), eps) or [eps]]
+        idems = [part for eps in idems for part in _split(Z, Z.mul(eps, z), eps) or [eps]]
     Zm = as_array(center_rows, m)
-    out = [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
-    for eps in out:
-        if S.mul(eps, eps) != eps:
-            raise AnalysisError("central idempotent candidate fails e^2 = e")
-    return out
+    return [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
 
 
 # -- block data and simple modules ------------------------------------------------
@@ -307,7 +311,7 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
                          seed: int = DEFAULT_SEED) -> Optional[Tuple[Dict[int, object], int]]:
     """Refine eps to a primitive idempotent e of eps*S*eps and return
     (e, dim e*S*e); `corner` is a basis of eps*S*eps, the independent
-    rows of `S.sandwich(eps)`.
+    rows of `S.sandwich(eps)` (of `S.right_matrix(eps)` for a central eps).
 
     Sweeps the corner basis elements, then seeded random corner elements,
     then the pairwise products of basis elements.  Returns None when
@@ -356,6 +360,8 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     is still computed when possible so simple modules can be materialized.
     Over Q splitness is certified only by an explicit primitive idempotent
     with a 1-dimensional corner; otherwise the report carries a caveat.
+    Each block eps*S*eps is spanned by the rows b_i eps of R_eps (eps is
+    central), and eps^2 = eps is checked there as eps R_eps = eps.
     """
     f = A.field
     quot = semisimple_quotient(A, rad_rows)
@@ -366,11 +372,13 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
     ideals = []      # per block, the span of e*S (None without a primitive e)
     caveats = []
     for eps in idems:
-        sandwich = S.sandwich(eps)
-        corner = sandwich[rank_profile(sandwich, f)]
+        R = S.right_matrix(eps)   # the sandwich L_eps R_eps, eps being central
+        if not np.array_equal(matmul_mod(S.dense(eps), R, f.p), S.dense(eps)):
+            raise AnalysisError("central idempotent candidate fails e^2 = e")
+        corner = R[rank_profile(R, f)]
         bdim = len(corner)
-        # row t of cen (L_eps R_eps) is eps z_t eps: the block's center
-        kdeg = EchelonSpan(f, S.dim, matmul_mod(as_array(cen, f.p), sandwich, f.p)).dim
+        # row t of cen R_eps is z_t eps: the block's center
+        kdeg = EchelonSpan(f, S.dim, matmul_mod(as_array(cen, f.p), R, f.p)).dim
         info = BlockInfo(dim=bdim, center_degree=kdeg, matrix_size=None,
                          division_dim=None)
         found = primitive_idempotent(S, eps, corner, seed=seed)

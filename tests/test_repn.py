@@ -3,11 +3,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cycbmw.acceptance import semi_parameters
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import EchelonSpan, RowBasis, matmul_mod, reduce_mod
+from cycbmw.linalg import EchelonSpan, RowBasis, as_array, matmul_mod, reduce_mod
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import (BuildError, StructureAlgebra, build_algebra,
                                  corner_algebra, truncation_idempotent)
@@ -499,6 +500,9 @@ MULT_CASES = {
     "gf2p61_b32": lambda: build_algebra(2, _generic_over(GF(2**61 - 1), 3)),
     # the largest int64 prime: a product of two residues times a third overflows
     "gf3037000493_b22": lambda: build_algebra(2, _generic_over(GF(3037000493), 2)),
+    # _gather reduces once below len(sel) (p-1)^(factors+1) < 2^63, per factor above
+    "gf65521_b22": lambda: build_algebra(2, _generic_over(GF(65521), 2)),
+    "gf2p31_b22": lambda: build_algebra(2, _generic_over(GF(2**31 - 1), 2)),
 }
 
 
@@ -562,3 +566,69 @@ def _analysis_digest():
 def test_analysis_outputs_are_pinned():
     assert _analysis_digest() == (
         "4e3f8f266395949ba4893b1eb6c5a9a4eeb48d81f2df9d230bf0e523db74ea95")
+
+
+def test_gather_is_exact_on_both_sides_of_the_one_reduction_bound():
+    # GF(65521)[x]/(x^2 + 1): n copies of the product x x = (p-1) 1, both
+    # operands p - 1, summed into one slot; n (p-1)^3 fits in int64 at the
+    # bound and not one term above it
+    F = GF(65521)
+    m, one = F.p, F.one()
+    A = StructureAlgebra.from_table(F, {(0, 0): ((0, one),), (0, 1): ((1, one),),
+                                        (1, 0): ((1, one),), (1, 1): ((0, m - 1),)},
+                                    2, {0: one})
+    I, J, _, C, _ = A.structure_constants()
+    top = np.flatnonzero(C == m - 1)
+    v = np.full(A.dim, m - 1, dtype=np.int64)
+    limit = (2**63 - 1) // (m - 1) ** 3
+    for n in (limit, limit + 1):
+        sel = np.resize(top, n)
+        got = A._gather(sel, [(v, I[sel]), (v, J[sel])], np.zeros(n, dtype=np.int64), 1)
+        assert got.tolist() == [n * (m - 1) ** 3 % m]
+
+
+def _central_idempotents_every_round(S, center_rows):
+    """The center split without its stop: eps z eps split in every round
+    over Z's basis; the oracle for central_primitive_idempotents."""
+    f, m = S.field, S.field.p
+    if not center_rows:
+        return []
+    Z = StructureAlgebra.from_rows(S, center_rows, S.unit())
+    idems = [Z.unit()]
+    for b in range(Z.dim):
+        z = {b: f.one()}
+        idems = [part for eps in idems
+                 for part in repn._split(Z, Z.mul(Z.mul(eps, z), eps), eps) or [eps]]
+    Zm = as_array(center_rows, m)
+    return [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
+
+
+CENTRAL_CASES = {
+    "gf101_semi_b23": lambda: build_algebra(3, semi_parameters()),
+    "q_b13": lambda: build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True)),
+    "s3_gf3": lambda: group_algebra_s3(GF(3)),
+    "gf4_over_gf2": gf4_over_gf2,
+    "gf2p61_b32": lambda: build_algebra(2, _generic_over(GF(2**61 - 1), 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTRAL_CASES))
+def test_central_idempotents_stop_early_and_sandwich_is_right_matrix(case):
+    A = CENTRAL_CASES[case]()
+    S = semisimple_quotient(A, radical(A)).S
+    cen = center(S)
+    idems = central_primitive_idempotents(S, cen)
+    assert idems == _central_idempotents_every_round(S, cen)
+    for eps in idems:
+        assert S.mul(eps, eps) == eps
+        assert S.sandwich(eps).tolist() == S.right_matrix(eps).tolist()
+
+
+def test_wedderburn_refuses_a_central_non_idempotent(monkeypatch):
+    A = group_algebra_s3(F101)
+    central = repn.central_primitive_idempotents
+    # 2 eps is central, and (2 eps)^2 = 4 eps
+    monkeypatch.setattr(repn, "central_primitive_idempotents", lambda S, cen: [
+        {i: S.field.mul(2, c) for i, c in eps.items()} for eps in central(S, cen)])
+    with pytest.raises(repn.AnalysisError, match="fails e\\^2 = e"):
+        wedderburn(A, radical(A))
