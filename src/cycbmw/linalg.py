@@ -11,8 +11,8 @@ integer numerators over one common denominator per operand
 (`fraction_free`), making one Fraction per result entry.  Row spaces go
 through one batched kernel, `echelon`: the reduced echelon form of a whole
 matrix, unique and so deterministic.  It backs `EchelonSpan`, `RowBasis`,
-`rref`, `rank`, `nullspace` and the row rank profile (`rank_profile`);
-only `EchelonSpan.insert` grows a span one row at a time.
+`nullspace` and the row rank profile (`rank_profile`); only
+`EchelonSpan.insert` grows a span one row at a time.
 """
 
 from __future__ import annotations
@@ -212,18 +212,6 @@ class RowBasis:
         return matmul_mod(y, self._transform, m).tolist()
 
 
-def rref(rows, field: Field):
-    """(reduced nonzero rows, pivot columns); input is not modified."""
-    if not len(rows):
-        return [], []
-    red, piv = echelon(as_array(rows, field.p), field.p)
-    return red.tolist(), piv
-
-
-def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[0])
-
-
 def nullspace(rows, ncols: int, field: Field) -> List[list]:
     """Canonical solution basis of the homogeneous system given by `rows`.
 
@@ -241,7 +229,3 @@ def nullspace(rows, ncols: int, field: Field) -> List[list]:
         basis[:, piv] = reduce_mod(-red[:, free].T, m)
     return basis.tolist()
 
-
-def matmul(A, B, field: Field) -> List[list]:
-    m = field.p
-    return matmul_mod(as_array(A, m), as_array(B, m), m).tolist()

@@ -44,17 +44,14 @@ class DistinctParameterError(ParameterError):
 
 
 def _elementary_symmetric(values):
-    """[sigma_0, ..., sigma_r] of the given field elements."""
-    sig = [values[0].field.one() if values else None]
-    if values:
-        one = values[0].field(1)
-        sig = [one]
-        for v in values:
-            nxt = [sig[0]]
-            for k in range(1, len(sig)):
-                nxt.append(sig[k] + sig[k - 1] * v)
-            nxt.append(sig[-1] * v)
-            sig = nxt
+    """[sigma_0, ..., sigma_r] of the given field elements, r >= 1."""
+    sig = [values[0].field(1)]
+    for v in values:
+        nxt = [sig[0]]
+        for k in range(1, len(sig)):
+            nxt.append(sig[k] + sig[k - 1] * v)
+        nxt.append(sig[-1] * v)
+        sig = nxt
     return sig
 
 

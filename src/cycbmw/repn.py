@@ -1,18 +1,18 @@
 """Structure analysis of the constructed algebras.
 
-Jacobson radical (trace-form kernel in characteristic 0; the iterated
-p-power trace refinement in characteristic p, evaluated on integer lifts
-of the regular representation; certified nilpotent with matrix products,
-each squaring round one stack of current @ R_b reduced by one batched
-echelon, on every field), Wedderburn block data of the semisimple
-quotient through its center, explicit simple right modules via primitive
-idempotents, and the idempotent-truncation functor M -> M e.  The central
-idempotents are split inside the center algebra Z, not inside the
-quotient: dim Z is the sum of the blocks' center degrees.  Z is
-commutative, so eps z eps = eps z, and the split stops once it holds dim Z
-idempotents.  A central idempotent eps has eps b_i eps = b_i eps, so the
-sandwich L_eps R_eps that spans the block eps S eps is R_eps itself; the
-certificate eps^2 = eps is read from the same matrix.
+Jacobson radical (the trace-form kernel, refined in characteristic p by
+one linear system per p-power round, every form one scatter over the
+constants; certified nilpotent with matrix products, each squaring round
+one stack of current @ R_b reduced by one batched echelon, on every
+field), Wedderburn block data of the semisimple quotient through its
+center, explicit simple right modules via primitive idempotents, and the
+idempotent-truncation functor M -> M e.  The central idempotents are
+split inside the center algebra Z, not inside the quotient: dim Z is the
+sum of the blocks' center degrees.  Z is commutative, so eps z eps =
+eps z, and the split stops once it holds dim Z idempotents.  A central
+idempotent eps has eps b_i eps = b_i eps, so the sandwich L_eps R_eps
+that spans the block eps S eps is R_eps itself; the certificate
+eps^2 = eps is read from the same matrix.
 
 Idempotents are cut by one step, `_split(S, w, e)`, along the coprime
 primary factors of the minimal polynomial of w in e S e (the finite-field
@@ -42,8 +42,8 @@ import numpy as np
 import sympy
 
 from .fields import Field, PRIME_FIELD
-from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul, matmul_mod,
-                     nullspace, rank_profile, reduce_mod, scatter_add)
+from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, echelon, matmul_mod,
+                     nullspace, rank_profile, reduce_mod, scatter_add, zeros)
 from .presentation import StructureAlgebra, ideal_span
 
 DEFAULT_SEED = 20260801
@@ -56,14 +56,18 @@ class AnalysisError(RuntimeError):
 
 # -- traces of the right regular representation -------------------------------
 
-def _trace_gram(A: StructureAlgebra) -> np.ndarray:
-    """G[i][j] = tr(R_{b_i b_j}), assembled from structure constants."""
+def _trace(A: StructureAlgebra) -> np.ndarray:
+    """t[j] = tr(R_{b_j}) = sum_k c_{k j k}."""
+    I, J, K, C, _ = A.structure_constants()
+    diag = I == K
+    return scatter_add(J[diag], C[diag], A.dim, A.field.p)
+
+
+def _form(A: StructureAlgebra, phi: np.ndarray) -> np.ndarray:
+    """G[i][j] = phi(b_i b_j) for the functional phi . x, from the constants."""
     I, J, K, C, _ = A.structure_constants()
     m = A.field.p
-    diag = I == K
-    # t[j] = tr(R_{b_j}) = sum_k c_{k j k}
-    t = scatter_add(J[diag], C[diag], A.dim, m)
-    return scatter_add(I * A.dim + J, reduce_mod(C * t[K], m), A.dim**2, m).reshape(
+    return scatter_add(I * A.dim + J, reduce_mod(C * phi[K], m), A.dim**2, m).reshape(
         A.dim, A.dim)
 
 
@@ -82,32 +86,47 @@ def _power_trace_mod(M: np.ndarray, power: int, mod: int) -> int:
 def radical(A: StructureAlgebra) -> List[list]:
     """Exact basis (dense row vectors) of the Jacobson radical.
 
-    Characteristic 0: kernel of the associative trace form tr(R_{xy}).
-    Characteristic p: the trace-form kernel refined by the p-power trace
-    functions f_i(z) = p^{-i} tr(Z^{p^i}) mod p on integer lifts, one
-    round per i with p^i <= dim.  The result is certified to be a
-    nilpotent two-sided ideal before it is returned.
+    I_0, the nullspace of `_form(A, _trace(A))`, is the radical in
+    characteristic 0.  In characteristic p, round i (N = p^i <= dim) cuts
+    I_i = {x in I_{i-1} : g_i(xy) = 0 for all y in A}, where g_i(x) =
+    p^{-i} tr(X^N) mod p for an integer lift X of R_x (p^i | tr(X^N) is
+    checked); the last is the radical (Ronyai 1990; Cohen, Ivanyos & Wales
+    1997).  By induction I_{i-1} is an ideal, and:
+    (a) tr(X^N) mod p^{i+1} depends only on X mod p.  In (X + pE)^N, a word
+    with k factors pE fixed by p^s rotations has k >= p^s >= s + 1, and its
+    orbit sums p^{i-s} equal traces.  A basis change invertible mod p is so
+    mod p^{i+1}, keeping traces.  So XY lifts R_{xy}; g_i(xy) = g_i(yx).
+    (b) g_i is linear on I_{i-1}.  In (X + Y)^N, a mixed word fixed by p^s
+    rotations (s < i) is W^{p^s}, W a lift of a w in I_{i-1}, inside I_s;
+    g_s(w 1) = 0 gives p^{s+1} | tr(W^{p^s}), and its orbit sums p^{i-s}
+    such traces.  And g_i(cx) = c^N g_i(x) = c g_i(x).  I_i is an ideal:
+    g_i(xa y) = g_i(x ay) and g_i(ax y) = g_i(x ya) by (a).
+    (c) Let Y be the echelon rows of I_{i-1}, with pivots P.  In a basis
+    extending Y, R_y for y in I_{i-1} is block triangular with diagonal
+    blocks T_y = (Y @ R_y)[:, P] and 0, as A y lies in I_{i-1}: by (a),
+    g_i(y) is read from T_y.  The vector g, g_i(Y_r) at column P_r and 0
+    elsewhere, is g_i on I_{i-1}, which holds every x b_j: I_i is {c B :
+    (B @ _form(A, g))^T c = 0}, B the previous round's rows.  The result
+    is certified to be a nilpotent two-sided ideal.
     """
     f = A.field
-    basis = nullspace(_trace_gram(A), A.dim, f)
+    basis = nullspace(_form(A, _trace(A)), A.dim, f)
     if f.kind == PRIME_FIELD:
         p = f.p
         i = 1
         while p**i <= A.dim and basis:
             mod = p ** (i + 1)
-            # lift once per basis element; R_{xy} lifts as the product of lifts
-            lifts = [A.right_matrix(A.sparse(v)).astype(dtype_for(mod)) for v in basis]
-            gram = []
-            for Ms in lifts:
-                row = []
-                for Mt in lifts:
-                    tr = _power_trace_mod(matmul_mod(Ms, Mt, mod), p**i, mod)
-                    if tr % (p**i):
-                        raise AnalysisError("p-power trace not divisible as expected")
-                    row.append((tr // p**i) % p)
-                gram.append(row)
-            coords = nullspace(gram, len(basis), f)
-            basis = matmul(coords, basis, f) if coords else []
+            B = as_array(basis, p)
+            Y, P = echelon(B, p)
+            g = zeros(A.dim, p)
+            for y, col in zip(Y, P):
+                T = matmul_mod(Y, A.right_matrix(A.sparse(y)), p)[:, P]
+                tr = _power_trace_mod(T.astype(dtype_for(mod)), p**i, mod)
+                if tr % (p**i):
+                    raise AnalysisError("p-power trace not divisible as expected")
+                g[col] = (tr // p**i) % p
+            coords = nullspace(matmul_mod(B, _form(A, g), p).T, len(basis), f)
+            basis = matmul_mod(as_array(coords, p), B, p).tolist() if coords else []
             i += 1
     _certify_nilpotent_ideal(A, basis)
     return basis

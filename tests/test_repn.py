@@ -8,7 +8,8 @@ import pytest
 
 from cycbmw.acceptance import semi_parameters
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import EchelonSpan, RowBasis, as_array, matmul_mod, reduce_mod
+from cycbmw.linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul_mod, nullspace,
+                           rank_profile, reduce_mod)
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import (BuildError, StructureAlgebra, build_algebra,
                                  corner_algebra, truncation_idempotent)
@@ -354,8 +355,8 @@ def test_simple_modules_and_action_consistency():
             a = A.gens[rng.choice(names)]
             b = A.gens[rng.choice(names)]
             left = M.action_matrix(A.mul(a, b))
-            from cycbmw.linalg import matmul
-            right = matmul(M.action_matrix(a), M.action_matrix(b), f)
+            right = matmul_mod(as_array(M.action_matrix(a), f.p),
+                               as_array(M.action_matrix(b), f.p), f.p).tolist()
             assert left == right
 
 
@@ -389,7 +390,6 @@ def test_truncate_module_extremes():
 
 def test_regular_module_truncation_rank():
     # M = regular module: dim(Me) equals the rank of e's right action
-    from cycbmw.linalg import rank
     from cycbmw.repn import ModuleRep, semisimple_quotient
     p = generic(1)
     A = build_algebra(3, p)
@@ -400,7 +400,7 @@ def test_regular_module_truncation_rank():
     e = truncation_idempotent(A, p)
     C = corner_algebra(A, e)
     T = truncate_module(M, e)
-    assert T.dim == rank(A.right_matrix(e), f)
+    assert T.dim == len(rank_profile(A.right_matrix(e), f))
 
 
 def test_functor_grading_bmw13():
@@ -632,3 +632,98 @@ def test_wedderburn_refuses_a_central_non_idempotent(monkeypatch):
         {i: S.field.mul(2, c) for i, c in eps.items()} for eps in central(S, cen)])
     with pytest.raises(repn.AnalysisError, match="fails e\\^2 = e"):
         wedderburn(A, radical(A))
+
+
+# -- the p-power rounds against the pairwise Gram ------------------------------------
+
+def _g(M, p, i):
+    """g_i from an integer lift M: p^{-i} tr(M^{p^i}) mod p."""
+    mod = p ** (i + 1)
+    tr = repn._power_trace_mod(M.astype(dtype_for(mod)), p**i, mod)
+    assert tr % p**i == 0
+    return (tr // p**i) % p
+
+
+def _pairwise_ideals(A):
+    """[I_0, I_1, ...]: the trace-form kernel refined one round per i with
+    p^i <= dim by the Gram matrix g_i(b_s b_t) over every pair of rows of
+    I_{i-1}, each entry a binary power of the product of two lifted right
+    matrices.  The last ideal is the oracle for `radical`."""
+    f, p = A.field, A.field.p
+    ideals = [nullspace(repn._form(A, repn._trace(A)), A.dim, f)]
+    i = 1
+    while p**i <= A.dim and ideals[-1]:
+        basis, mod = ideals[-1], p ** (i + 1)
+        lifts = [A.right_matrix(A.sparse(v)).astype(dtype_for(mod)) for v in basis]
+        gram = [[_g(matmul_mod(Ms, Mt, mod), p, i) for Mt in lifts] for Ms in lifts]
+        coords = nullspace(gram, len(basis), f)
+        ideals.append(matmul_mod(as_array(coords, p), as_array(basis, p), p).tolist()
+                      if coords else [])
+        i += 1
+    return ideals
+
+
+# dims of I_0, I_1, ...: every case takes at least one p-power round
+ROUND_CASES = {
+    "m2_gf2": (lambda: matrix_algebra(GF(2), 2), [4, 0]),
+    "s3_gf2": (lambda: group_algebra_s3(GF(2)), [6, 1, 1]),
+    "s3_gf3": (lambda: group_algebra_s3(GF(3)), [6, 4]),
+    "dual_gf2": (lambda: dual_numbers(GF(2)), [2, 1]),
+    "gf5_b13": (lambda: build_algebra(3, _generic_over(GF(5), 1)), [13, 9]),
+    "gf7_b13": (lambda: build_algebra(3, _generic_over(GF(7), 1)), [4, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_CASES))
+def test_radical_matches_pairwise_gram(case):
+    make, dims = ROUND_CASES[case]
+    A = make()
+    ideals = _pairwise_ideals(A)
+    assert [len(ideal) for ideal in ideals] == dims
+    assert radical(A) == ideals[-1]
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_CASES))
+def test_p_power_functional_is_linear_and_read_on_the_ideal(case):
+    A = ROUND_CASES[case][0]()
+    f, p = A.field, A.field.p
+    rng = random.Random(29)
+    # every ideal but the last is nonzero and took a round
+    for i, basis in enumerate(_pairwise_ideals(A)[:-1], start=1):
+        span = EchelonSpan(f, A.dim, basis)
+        Y, P = span.rows, span.pivots
+
+        def regular(x):
+            return _g(A.right_matrix(A.sparse(x)), p, i)
+
+        def on_ideal(x):
+            return _g(matmul_mod(Y, A.right_matrix(A.sparse(x)), p)[:, P], p, i)
+        for _ in range(8):
+            x, y = (matmul_mod(as_array([rng.randrange(p) for _ in Y], p), Y, p)
+                    for _ in range(2))
+            c = rng.randrange(p)
+            assert on_ideal(x) == regular(x)
+            assert regular((x + y) % p) == (regular(x) + regular(y)) % p
+            assert regular(c * x % p) == c * regular(x) % p
+
+
+# -- small e: the Kleshchev condition bites --------------------------------------------
+
+# (p, r, n, radical dim, blocks) for q = 2, u_i = 4^{1+4i}; GF(5) B(1,4)
+# has e = 2 and 4 blocks, where p = 101 gives 8
+SMALL_E = [(5, 1, 2, 1, 2), (5, 1, 3, 9, 3), (7, 2, 2, 8, 4), (7, 3, 2, 20, 7),
+           (11, 3, 2, 16, 8), (13, 3, 2, 8, 10), (19, 2, 2, 3, 6), (23, 3, 2, 5, 10),
+           (5, 1, 4, 63, 4), (7, 2, 3, 53, 8), (11, 2, 3, 72, 10)]
+
+
+@pytest.mark.parametrize("p,r,n,rad_dim,count", SMALL_E,
+                         ids=[f"gf{p}_b{r}{n}" for p, r, n, _, _ in SMALL_E])
+def test_small_e_ladder_matches_classification(p, r, n, rad_dim, count):
+    params = _generic_over(GF(p), r)
+    A = build_algebra(n, params)
+    rad = radical(A)
+    rep = wedderburn(A, rad)
+    assert len(rad) == rad_dim
+    assert rep.split
+    assert len(rep.blocks) == count == len(
+        classify_cyclotomic(params, Multicharge.from_parameters(params), n))
