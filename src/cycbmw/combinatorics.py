@@ -63,6 +63,8 @@ def enumerate_multipartitions(r: int, m: int) -> List[Multipartition]:
     """All r-tuples of partitions with total size m, canonically ordered."""
     if r < 1:
         raise ValueError("level r must be >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     per_size = [partitions(k) for k in range(m + 1)]
     out: List[Multipartition] = []
 
@@ -155,6 +157,8 @@ def enumerate_index_poset(r: int, n: int, mode: str = "full",
 
     mode "full": every f uses level r.  mode "semi": levels d for f >= 1
     and r for f = 0 (the truncated poset of the semi-admissible regime)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if mode not in ("full", "semi"):
         raise ValueError(f"unknown poset mode {mode!r}")
     if mode == "semi" and (d is None or not 0 <= d <= r):
@@ -420,6 +424,8 @@ def classify_cyclotomic(p: ParameterSet, mc: Multicharge, n: int) -> List[IndexP
     The contraction range follows the omega-vanishing case split: all of
     0..n//2 normally, but strictly below n/2 when every omega vanishes and
     n is even."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if not mc.consistent_with(p):
         raise MultichargeScopeError(
             "multicharge is inconsistent with the parameter set "

@@ -13,6 +13,9 @@ through one batched kernel, `echelon`: the reduced echelon form of a whole
 matrix, unique and so deterministic.  It backs `EchelonSpan`, `RowBasis`,
 `nullspace` and the row rank profile (`rank_profile`); only
 `EchelonSpan.insert` grows a span one row at a time.
+
+Every function returns arrays, a row set one 2-D array also when it has no
+rows; the entry points coerce their input once (`as_array`), lists too.
 """
 
 from __future__ import annotations
@@ -176,9 +179,6 @@ class EchelonSpan:
         self.pivots.insert(at, pc)
         return True
 
-    def row_lists(self) -> List[list]:
-        return self.rows.tolist()
-
 
 class RowBasis:
     """A fixed independent row list with exact coordinate solving.
@@ -188,7 +188,7 @@ class RowBasis:
     rows and T.rows = E.  A vector v lies in the span exactly when
     v = v[P].E, and then x = v[P].T solves x.rows = v."""
 
-    def __init__(self, rows: List[list], field: Field):
+    def __init__(self, rows, field: Field):
         self.field = field
         m = field.p
         k, n = len(rows), len(rows[0]) if len(rows) else 0
@@ -199,20 +199,20 @@ class RowBasis:
             raise ValueError("RowBasis rows are linearly dependent")
         self._echelon, self._transform = echelon_rows[:, :n], echelon_rows[:, n:]
 
-    def coords(self, v) -> Optional[list]:
+    def coords(self, v) -> Optional[np.ndarray]:
         """x with x.rows = v, or None when v is outside the span.  v is one
-        vector, or a matrix with one vector per row; then x has one row per
-        row of v, and None means some row is outside the span."""
+        vector, or a matrix with one vector per row; then x is a matrix with
+        one row per row of v, and None means some row is outside the span."""
         m = self.field.p
         v = as_array(v, m)
         y = v[..., self._pivots]
         back = matmul_mod(y, self._echelon, m) if self._pivots else zeros(v.shape, m)
         if not np.array_equal(back, v):
             return None
-        return matmul_mod(y, self._transform, m).tolist()
+        return matmul_mod(y, self._transform, m)
 
 
-def nullspace(rows, ncols: int, field: Field) -> List[list]:
+def nullspace(rows, ncols: int, field: Field) -> np.ndarray:
     """Canonical solution basis of the homogeneous system given by `rows`.
 
     Each row r is one equation sum_j r[j] x_j = 0; solutions x have length
@@ -227,5 +227,5 @@ def nullspace(rows, ncols: int, field: Field) -> List[list]:
     basis[np.arange(len(free)), free] = field.one()
     if piv:
         basis[:, piv] = reduce_mod(-red[:, free].T, m)
-    return basis.tolist()
+    return basis
 

@@ -122,7 +122,7 @@ class ParameterSet:
                 if omegas:
                     raise ParameterError("r = 1 determines all omegas from omega_0")
                 self._explicit = ()
-            for a, w in enumerate(self._explicit or (), start=1):
+            for a, w in enumerate(self._explicit, start=1):
                 self._omega_cache[a] = w
 
     # -- constructors ---------------------------------------------------------
@@ -197,8 +197,6 @@ def omega(p: ParameterSet, a: int) -> FieldElement:
     if a in cache:
         return cache[a]
     if p.admissible:
-        if p._gammas is None:
-            p._gammas = gamma_weights(p)
         val = p.field(0)
         for uj, gj in zip(p.u, p._gammas):
             val = val + uj**a * gj

@@ -330,36 +330,31 @@ class StructureAlgebra:
         return alg
 
     @classmethod
-    def from_columns(cls, field: Field, columns: list,
+    def from_columns(cls, field: Field, columns: List[np.ndarray],
                      unit_coords: Dict[int, object], labels: Optional[List[str]],
-                     gens: Optional[Dict[str, dict]], meta: dict):
-        """The algebra whose right multiplication by b_j is columns[j]:
-        row i of it holds the coordinates of b_i b_j."""
+                     gens: Optional[Dict[str, dict]], meta: Optional[dict]):
+        """The algebra whose right multiplication by b_j is the reduced array
+        columns[j]: row i of it holds the coordinates of b_i b_j."""
         alg = cls(field, len(columns), unit_coords, labels, gens=gens, meta=meta)
         for column in columns:
-            column = as_array(column, field.p)
             I, K = np.nonzero(column)
             alg._table.append((I, K, column[I, K]))
         return alg
 
     @classmethod
-    def from_rows(cls, A: "StructureAlgebra", rows: List[list], unit: Dict[int, object],
+    def from_rows(cls, A: "StructureAlgebra", rows: np.ndarray, unit: Dict[int, object],
                   labels: Optional[List[str]] = None):
-        """The subalgebra of A spanned by the independent dense `rows`, with
-        unit `unit` (an element of A).  Row a of rows R_{rows[b]} is
-        rows[a] rows[b]; a product or unit outside the span raises."""
-        m = A.field.p
-        basis, R = RowBasis(rows, A.field), as_array(rows, m)
-
-        def coords(vecs) -> list:
-            x = basis.coords(vecs)
-            if x is None:
-                raise BuildError("rows do not span a subalgebra")
-            return x
-
-        columns = [coords(matmul_mod(R, A.right_matrix(A.sparse(row)), m)) for row in rows]
-        return cls.from_columns(A.field, columns, A.sparse(coords([A.dense(unit)])[0]), labels,
-                                gens=None, meta={"parent_dim": A.dim, "parent_rows": rows})
+        """The subalgebra of A spanned by the independent rows of the array
+        `rows`, with unit `unit` (an element of A).  Row a of rows R_{rows[b]}
+        is rows[a] rows[b]; a product or unit outside the span raises."""
+        m, basis = A.field.p, RowBasis(rows, A.field)
+        # column b: the coordinates of the products rows[a] rows[b]; then the unit's
+        x = [basis.coords(matmul_mod(rows, A.right_matrix(row), m)) for row in rows]
+        x.append(basis.coords(A.dense(unit)))
+        if any(c is None for c in x):
+            raise BuildError("rows do not span a subalgebra")
+        return cls.from_columns(A.field, x[:-1], A.sparse(x[-1]), labels,
+                                gens=None, meta={"parent_rows": rows})
 
     def materialize(self):
         """Fill the columns a word-born table lacks, in basis order."""
@@ -447,7 +442,7 @@ class StructureAlgebra:
         sel = sel[va.astype(bool)[I[sel]]]
         return self.sparse(self._gather(sel, [(va, I[sel]), (vb, J[sel])], K[sel], self.dim))
 
-    def right_matrix(self, x: Dict[int, object]) -> np.ndarray:
+    def right_matrix(self, x) -> np.ndarray:
         """Matrix of right multiplication by x: row i = coordinates of b_i x."""
         I, J, K, _, colstart = self.structure_constants()
         vx = self.dense(x)
@@ -455,7 +450,7 @@ class StructureAlgebra:
         return self._gather(sel, [(vx, J[sel])], I[sel] * self.dim + K[sel],
                             self.dim**2).reshape(self.dim, self.dim)
 
-    def left_matrix(self, a: Dict[int, object]) -> np.ndarray:
+    def left_matrix(self, a) -> np.ndarray:
         """Matrix of left multiplication by a: row j = coordinates of a b_j."""
         I, J, K, _, _ = self.structure_constants()
         va = self.dense(a)
@@ -474,11 +469,13 @@ class StructureAlgebra:
         """The generators, or every basis element when none are known."""
         return list(self.gens.values()) or [{i: self.field.one()} for i in range(self.dim)]
 
-    def dense(self, coords: Dict[int, object]) -> np.ndarray:
-        """Coordinates as a vector in the field's array dtype."""
+    def dense(self, x) -> np.ndarray:
+        """x, a dict {index: raw coefficient} or an array in the field's dtype,
+        as an array; an array is returned as it is (no method writes into it)."""
+        if isinstance(x, np.ndarray):
+            return x
         v = zeros(self.dim, self.field.p)
-        if coords:
-            v[list(coords)] = list(coords.values())
+        v[list(x)] = list(x.values())
         return v
 
     def sparse(self, vec) -> Dict[int, object]:
@@ -533,7 +530,7 @@ _probe_cache: Dict[tuple, tuple] = {}
 def _params_key(p: ParameterSet) -> tuple:
     return (p.field.descriptor_string(), str(p.q), str(p.rho),
             tuple(str(x) for x in p.u), p.admissible,
-            tuple(str(w) for w in (p._explicit or ())) if not p.admissible else ())
+            tuple(str(w) for w in p._explicit) if not p.admissible else ())
 
 
 def select_orientation13(p: ParameterSet, variant: str = "bmw") -> str:
@@ -688,7 +685,7 @@ def ideal_span(A: StructureAlgebra, rows) -> EchelonSpan:
 def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
     """(dimension, echelon row basis) of the two-sided ideal A x A."""
     span = ideal_span(A, [A.dense(x)])
-    return span.dim, span.row_lists()
+    return span.dim, span.rows
 
 
 def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, object]:
@@ -724,7 +721,7 @@ def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebr
         raise BuildError("corner requires a nonzero idempotent")
     if A.mul(e, e) != e:
         raise BuildError("corner requires an idempotent")
-    rows = EchelonSpan(A.field, A.dim, A.sandwich(e)).row_lists()
+    rows = EchelonSpan(A.field, A.dim, A.sandwich(e)).rows
     return StructureAlgebra.from_rows(A, rows, e, labels=[f"c{i}" for i in range(len(rows))])
 
 
@@ -778,7 +775,13 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         p = ParameterSet(field, pb["q"], pb["rho"], pb["u"],
                          admissible=pb["admissible"],
                          omegas=pb.get("omega"))
-        n = blob["n"]
+        n, r, variant = blob["n"], blob["r"], blob["variant"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n = {n!r} is not an integer >= 1")
+        if type(r) is not int or r != p.r:
+            raise ValueError(f"r = {r!r} but the parameters hold {p.r} values u")
+        if variant not in ("bmw", "ariki_koike"):
+            raise ValueError(f"unknown variant {variant!r}")
         labels = blob["basis"]
         dim = len(labels)
         products = blob["products"]
@@ -819,10 +822,10 @@ def load_algebra(blob: dict) -> StructureAlgebra:
         sizes = [len(entries) for _, _, entries in products]
         alg = StructureAlgebra.from_constants(
             field, dim, np.repeat(PI, sizes), np.repeat(PJ, sizes), np.array(ks, dtype=np.int64),
-            C, unit, labels, gens, {"n": n, "variant": blob.get("variant")})
+            C, unit, labels, gens, {"n": n, "variant": variant})
     except (KeyError, TypeError, ValueError) as exc:
         raise BuildError(f"corrupted algebra dump: {exc}") from exc
     alg.params = p
     alg.n = n
-    alg.variant = blob.get("variant")
+    alg.variant = variant
     return alg

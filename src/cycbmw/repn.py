@@ -26,6 +26,10 @@ The truncation M e (the Schur functor to the corner e A e, Green 1980,
 Sec. 6) is one too, over the same quotient; the corner acts on it through
 the corner's rows in A, so one action routine serves both.
 
+Row sets (radical and center bases, corners, module rows, action matrices)
+are 2-D arrays in the field's dtype, of shape (rows, columns) also when
+empty; elements handed back (idempotents) are dicts {index: coefficient}.
+
 All linear algebra is exact; random choices (only used to hunt splitting
 elements inside a block) are driven by an explicit seed and the
 deterministic sweeps run first.
@@ -83,8 +87,8 @@ def _power_trace_mod(M: np.ndarray, power: int, mod: int) -> int:
     return int(np.trace(acc)) % mod
 
 
-def radical(A: StructureAlgebra) -> List[list]:
-    """Exact basis (dense row vectors) of the Jacobson radical.
+def radical(A: StructureAlgebra) -> np.ndarray:
+    """Exact basis of the Jacobson radical, as the rows of a 2-D array.
 
     I_0, the nullspace of `_form(A, _trace(A))`, is the radical in
     characteristic 0.  In characteristic p, round i (N = p^i <= dim) cuts
@@ -114,25 +118,24 @@ def radical(A: StructureAlgebra) -> List[list]:
     if f.kind == PRIME_FIELD:
         p = f.p
         i = 1
-        while p**i <= A.dim and basis:
+        while p**i <= A.dim and len(basis):
             mod = p ** (i + 1)
-            B = as_array(basis, p)
-            Y, P = echelon(B, p)
+            Y, P = echelon(basis, p)
             g = zeros(A.dim, p)
             for y, col in zip(Y, P):
-                T = matmul_mod(Y, A.right_matrix(A.sparse(y)), p)[:, P]
+                T = matmul_mod(Y, A.right_matrix(y), p)[:, P]
                 tr = _power_trace_mod(T.astype(dtype_for(mod)), p**i, mod)
                 if tr % (p**i):
                     raise AnalysisError("p-power trace not divisible as expected")
                 g[col] = (tr // p**i) % p
-            coords = nullspace(matmul_mod(B, _form(A, g), p).T, len(basis), f)
-            basis = matmul_mod(as_array(coords, p), B, p).tolist() if coords else []
+            coords = nullspace(matmul_mod(basis, _form(A, g), p).T, len(basis), f)
+            basis = matmul_mod(coords, basis, p)
             i += 1
     _certify_nilpotent_ideal(A, basis)
     return basis
 
 
-def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
+def _certify_nilpotent_ideal(A: StructureAlgebra, basis: np.ndarray):
     """Refuse `basis` unless it spans a nilpotent two-sided ideal I: the
     ideal it generates has dimension len(basis), and the dimensions of I,
     I^2, (I^2)^2, ... fall strictly to 0.  Each square J^2 is the row span
@@ -145,7 +148,7 @@ def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
     current = ideal.rows
     while len(current):
         square = EchelonSpan(f, A.dim, np.vstack(
-            [matmul_mod(current, A.right_matrix(A.sparse(b)), m) for b in current])).rows
+            [matmul_mod(current, A.right_matrix(b), m) for b in current])).rows
         if len(square) >= len(current):
             raise AnalysisError("radical candidate is not nilpotent")
         current = square
@@ -153,49 +156,44 @@ def _certify_nilpotent_ideal(A: StructureAlgebra, basis: List[list]):
 
 # -- semisimple quotient ---------------------------------------------------------
 
+@dataclass
 class QuotientData:
-    """A/rad as a table algebra plus the projection map; S's basis element t
-    is the image of A's basis element complement[t]."""
-
-    def __init__(self, S: StructureAlgebra, proj: Callable[[Dict[int, object]], Dict[int, object]],
-                 complement: List[int]):
-        self.S = S
-        self.proj = proj
-        self.complement = complement
+    """A/rad as a table algebra plus the projection map to arrays in S; S's
+    basis element t is the image of A's basis element complement[t]."""
+    S: StructureAlgebra
+    proj: Callable[[object], np.ndarray]
+    complement: List[int]
 
 
-def semisimple_quotient(A: StructureAlgebra, rad_rows: List[list]) -> QuotientData:
+def semisimple_quotient(A: StructureAlgebra, rad_rows: np.ndarray) -> QuotientData:
     f = A.field
-    if not rad_rows:
-        return QuotientData(A, lambda coords: dict(coords), list(range(A.dim)))
+    if not len(rad_rows):
+        return QuotientData(A, A.dense, list(range(A.dim)))
     m = f.p
     span = EchelonSpan(f, A.dim, rad_rows)
     P = span.pivots
     complement = sorted(set(range(A.dim)) - set(P))
     E = span.rows[:, complement]
 
-    def quotient_coords(v: np.ndarray) -> np.ndarray:
+    def project(v) -> np.ndarray:
         # the radical's RREF is zero at every pivot but its own, so
         # v - v[P].RREF is EchelonSpan.reduce of each row of v; only its
         # complement columns are kept, and E holds those of the RREF
+        v = A.dense(v)
         return reduce_mod(v[..., complement] - matmul_mod(v[..., P], E, m), m)
 
-    def project(coords: Dict[int, object]) -> Dict[int, object]:
-        return A.sparse(quotient_coords(A.dense(coords)))
-
     # column b: row i = complement[a] of R_{b_j}, j = complement[b], is b_i b_j
-    columns = [quotient_coords(A.right_matrix({j: f.one()})[complement]) for j in complement]
-    gens = {name: project(coords) for name, coords in A.gens.items()}
-    S = StructureAlgebra.from_columns(f, columns, project(A.unit()),
-                                      [A.labels[j] for j in complement], gens,
-                                      {"quotient_of": A.meta.get("n")})
+    columns = [project(A.right_matrix({j: f.one()})[complement]) for j in complement]
+    gens = {name: A.sparse(project(coords)) for name, coords in A.gens.items()}
+    S = StructureAlgebra.from_columns(f, columns, A.sparse(project(A.unit())),
+                                      [A.labels[j] for j in complement], gens, None)
     return QuotientData(S, project, complement)
 
 
 # -- center and central idempotents -------------------------------------------------
 
-def center(S: StructureAlgebra) -> List[list]:
-    """Dense basis of the center, solved against the generators
+def center(S: StructureAlgebra) -> np.ndarray:
+    """Basis of the center, as the rows of a 2-D array, solved against the generators
     (or against every basis element when no generator set is known)."""
     f = S.field
     # z g - g z = 0: column j of R_g - L_g is the equation for coordinate j
@@ -234,8 +232,7 @@ def _coprime_idempotent_polys(mp_coeffs, f: Field):
     return out
 
 
-def _split(S: StructureAlgebra, w: Dict[int, object],
-           e: Dict[int, object]) -> List[Dict[int, object]]:
+def _split(S: StructureAlgebra, w, e: Dict[int, object]) -> List[Dict[int, object]]:
     """The nonzero parts h(w) of the idempotent e, one per coprime
     idempotent polynomial h of the minimal polynomial of w in the unital
     algebra (e S e, e); [] when that polynomial is primary.
@@ -254,14 +251,14 @@ def _split(S: StructureAlgebra, w: Dict[int, object],
             break
         powers.append(cur)
     mp = [f.neg(c) for c in RowBasis(powers, f).coords(cur)] + [f.one()]
-    P = as_array(powers, m)
+    P = np.vstack(powers)
     parts = [S.sparse(matmul_mod(as_array(h, m), P[:len(h)], m))
              for h in _coprime_idempotent_polys(mp, f)]
     return [part for part in parts if part]
 
 
 def central_primitive_idempotents(S: StructureAlgebra,
-                                  center_rows: List[list]) -> List[Dict[int, object]]:
+                                  center_rows: np.ndarray) -> List[Dict[int, object]]:
     """Split the commutative semisimple center along minimal polynomials.
 
     The splitting runs inside the center algebra Z, of dimension
@@ -273,7 +270,7 @@ def central_primitive_idempotents(S: StructureAlgebra,
     `wedderburn` certifies e^2 = e for each result."""
     f = S.field
     m = f.p
-    if not center_rows:
+    if not len(center_rows):
         return []
     Z = StructureAlgebra.from_rows(S, center_rows, S.unit())
     idems = [Z.unit()]
@@ -282,8 +279,7 @@ def central_primitive_idempotents(S: StructureAlgebra,
             break
         z = {b: f.one()}
         idems = [part for eps in idems for part in _split(Z, Z.mul(eps, z), eps) or [eps]]
-    Zm = as_array(center_rows, m)
-    return [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
+    return [S.sparse(matmul_mod(Z.dense(eps), center_rows, m)) for eps in idems]
 
 
 # -- block data and simple modules ------------------------------------------------
@@ -345,20 +341,21 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
         guard += 1
         if len(corner) == 1:
             return e, len(corner)
-        corner_rows = [S.sparse(row) for row in corner]
 
         def candidates():
             # basis sweep first (cheap, catches the classical cases), then
             # seeded combinations, then the quadratic product sweep
-            yield from corner_rows
+            yield from corner
             for _ in range(_SPLIT_TRIES):
                 cs = [f.of_int(rng.randrange(m)) if f.kind == PRIME_FIELD
-                      else f.of_int(rng.randrange(-9, 10)) for _ in corner_rows]
-                yield S.sparse(matmul_mod(as_array(cs, m), corner, m))
-            for a in corner_rows:
+                      else f.of_int(rng.randrange(-9, 10)) for _ in corner]
+                yield matmul_mod(as_array(cs, m), corner, m)
+            for a in corner:
                 # row b is a * corner[b]
-                yield from map(S.sparse, matmul_mod(corner, S.left_matrix(a), m))
-        for w in filter(None, candidates()):
+                yield from matmul_mod(corner, S.left_matrix(a), m)
+        for w in candidates():
+            if not w.any():
+                continue
             parts = _split(S, w, e)
             if parts:
                 e = parts[0]
@@ -370,7 +367,7 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
     return None
 
 
-def wedderburn(A: StructureAlgebra, rad_rows: List[list],
+def wedderburn(A: StructureAlgebra, rad_rows: np.ndarray,
                seed: int = DEFAULT_SEED) -> WedderburnReport:
     """Block dimensions of A/rad via central idempotents, exactly.
 
@@ -397,7 +394,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: List[list],
         corner = R[rank_profile(R, f)]
         bdim = len(corner)
         # row t of cen R_eps is z_t eps: the block's center
-        kdeg = EchelonSpan(f, S.dim, matmul_mod(as_array(cen, f.p), R, f.p)).dim
+        kdeg = EchelonSpan(f, S.dim, matmul_mod(cen, R, f.p)).dim
         info = BlockInfo(dim=bdim, center_degree=kdeg, matrix_size=None,
                          division_dim=None)
         found = primitive_idempotent(S, eps, corner, seed=seed)
@@ -452,21 +449,19 @@ class ModuleRep:
 
     A simple module e*S and its truncation M e (the Schur functor to the
     corner e A e, which acts through its rows in A) are both of this kind;
-    an empty row list is the zero module, whose action matrices are []."""
+    rows of shape (0, S.dim) are the zero module, acting by (0, 0) matrices."""
 
-    def __init__(self, quot: QuotientData, rows: List[list]):
+    def __init__(self, quot: QuotientData, rows: np.ndarray):
         self.quot = quot
         self.field = quot.S.field
         self.rows = rows
         self.dim = len(rows)
         self.basis = RowBasis(rows, self.field)
-        self._rows = as_array(rows, self.field.p).reshape(self.dim, quot.S.dim)
 
-    def action_matrix(self, coords_in_A: Dict[int, object]) -> List[list]:
-        """Matrix of v -> v * a on the row basis."""
-        m = self.field.p
-        Ra = self.quot.S.right_matrix(self.quot.proj(coords_in_A))
-        out = self.basis.coords(matmul_mod(self._rows, Ra, m))
+    def action_matrix(self, a) -> np.ndarray:
+        """Matrix of v -> v * a on the row basis, for a in A."""
+        Ra = self.quot.S.right_matrix(self.quot.proj(a))
+        out = self.basis.coords(matmul_mod(self.rows, Ra, self.field.p))
         if out is None:
             raise AnalysisError("module rows are not invariant")
         return out
@@ -483,17 +478,15 @@ def simple_modules(A: StructureAlgebra, report: WedderburnReport) -> List[Module
             raise AnalysisError(
                 "no primitive idempotent available for a block; "
                 "simple modules cannot be materialized")
-        out.append(ModuleRep(quot, ideal.row_lists()))
+        out.append(ModuleRep(quot, ideal.rows))
     return out
 
 
 def truncate_module(M: ModuleRep, e_coords_A: Dict[int, object]) -> ModuleRep:
     """The image M e, over the same quotient: the echelon basis of the rows
     (action of e) . M.rows, in S's coordinates."""
-    m = M.field.p
-    image = matmul_mod(as_array(M.action_matrix(e_coords_A), m).reshape(M.dim, M.dim),
-                       M._rows, m)
-    return ModuleRep(M.quot, EchelonSpan(M.field, M.quot.S.dim, image).row_lists())
+    image = matmul_mod(M.action_matrix(e_coords_A), M.rows, M.field.p)
+    return ModuleRep(M.quot, EchelonSpan(M.field, M.quot.S.dim, image).rows)
 
 
 @dataclass
@@ -533,12 +526,9 @@ def _corner_module_is_simple(T: ModuleRep, corner: StructureAlgebra,
     corner rows of the quotient's basis elements."""
     m = T.field.p
     cquot = crep._quotient
-    lift = as_array(corner.meta["parent_rows"], m)[cquot.complement]
-    hits = []
-    for info, eps in zip(crep.block_info, crep._central_idempotents):
-        a = corner.sparse(matmul_mod(cquot.S.dense(eps), lift, m))
-        if any(any(row) for row in T.action_matrix(a)):
-            hits.append(info)
+    lift = corner.meta["parent_rows"][cquot.complement]
+    hits = [info for info, eps in zip(crep.block_info, crep._central_idempotents)
+            if T.action_matrix(matmul_mod(cquot.S.dense(eps), lift, m)).any()]
     if len(hits) != 1:
         return False
     info = hits[0]

@@ -207,6 +207,21 @@ def test_analyze_corrupted_dump(tmp_path, capsys):
     assert code == 1
 
 
+def test_analyze_refuses_a_string_n(tmp_path, capsys):
+    blob = json.loads(dumps_algebra(build_algebra(2, generic_parameters(1))))
+    blob["n"] = "2"
+    dump = tmp_path / "bad.json"
+    dump.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "analyze", str(dump))
+    assert code == 1 and not out
+    assert err.startswith("error: corrupted algebra dump: n = '2'")
+
+
+def test_classify_refuses_a_negative_n(capsys):
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "-2", *GENERIC)
+    assert code == 1 and not out and "n must be >= 0" in err
+
+
 @pytest.mark.parametrize("value", [7, None, ["7"], "205", "-100", "+7", " 7"],
                          ids=["number", "null", "list", "205", "-100", "+7", "space"])
 def test_analyze_refuses_non_canonical_constant(tmp_path, capsys, value):

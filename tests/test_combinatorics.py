@@ -175,6 +175,22 @@ def test_classify_cyclotomic_all_zero_excludes_top():
     assert all(ent.f == 0 for ent in cls) and len(cls) == 2
 
 
+def test_negative_sizes_are_refused():
+    q = F(2)
+    p = ParameterSet(F, q, (q * q).inv(), [q * q], admissible=True)
+    mc = Multicharge.from_parameters(p)
+    for call in (lambda: classify_cyclotomic(p, mc, -3),
+                 lambda: enumerate_index_poset(2, -1),
+                 lambda: enumerate_multipartitions(2, -1),
+                 lambda: enumerate_multipartitions(1, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call()
+    # size 0 keeps its one empty entry
+    assert enumerate_multipartitions(2, 0) == [((), ())]
+    assert [(ent.f, ent.lam) for ent in classify_cyclotomic(p, mc, 0)] == [(0, ((),))]
+    assert len(enumerate_index_poset(2, 0)) == 1
+
+
 def test_classify_cyclotomic_rejects_inconsistent_multicharge():
     q = F(2)
     p = ParameterSet(F, q, (q * q).inv(), [q * q], admissible=True)

@@ -103,15 +103,15 @@ def test_rref_rank_nullspace_match_sympy(field):
         for row in M:
             one_by_one.insert(row)
         at_once = EchelonSpan(field, ncols, M)
-        assert (at_once.row_lists(), at_once.pivots) == (one_by_one.row_lists(),
-                                                         one_by_one.pivots)
+        assert (at_once.rows.tolist(), at_once.pivots) == (one_by_one.rows.tolist(),
+                                                           one_by_one.pivots)
         assert len(rank_profile(M, field)) == S.rank() == len(want_rows)
         if field == QQ:           # never an int, whose inverse would be a float
             assert all(type(c) is Fraction for row in want_rows for c in row)
             assert all(type(c) is Fraction for c in E.flat)
         # sympy scales its nullspace rows differently over GF(p): compare
         # spans, then the canonical shape (identity on the free columns)
-        null = nullspace(M, ncols, field)
+        null = nullspace(M, ncols, field).tolist()
         free = [j for j in range(ncols) if j not in piv]
         assert len(null) == len(free)
         if null:
@@ -204,7 +204,7 @@ def test_rowbasis_coords_match_sympy(field):
         for _ in range(4):
             x = _random_matrix(rng, field, 1, k)
             v = _from_sympy(_to_sympy(x, k, field) * S, field)[0]
-            assert basis.coords(v) == x[0]
+            assert basis.coords(v).tolist() == x[0]
         w = _random_matrix(rng, field, 1, n)
         inside = _to_sympy(rows + w, n, field).rank() == k
         assert (basis.coords(w[0]) is not None) == inside
@@ -213,7 +213,7 @@ def test_rowbasis_coords_match_sympy(field):
         RowBasis(dependent, field)
     # no rows span only the zero vector
     empty = RowBasis([], field)
-    assert empty.coords([field.zero()] * 3) == []
+    assert empty.coords([field.zero()] * 3).tolist() == []
     assert empty.coords([field.zero(), field.one(), field.zero()]) is None
 
 
@@ -225,14 +225,14 @@ def test_rowbasis_coords_of_a_matrix(field):
     basis = RowBasis(rows, field)
     X = _random_matrix(rng, field, 5, k)
     V = _from_sympy(_to_sympy(X, k, field) * _to_sympy(rows, n, field), field)
-    assert basis.coords(V) == X
+    assert basis.coords(V).tolist() == X
     # one row outside the span makes the whole answer None
     w = _random_matrix(rng, field, 1, n)
     assert _to_sympy(rows + w, n, field).rank() == k + 1
     assert basis.coords(V[:2] + w + V[2:]) is None
     empty = RowBasis([], field)
-    assert empty.coords(np.zeros((0, n), dtype=object)) == []
-    assert empty.coords([[field.zero()] * n] * 2) == [[], []]
+    assert empty.coords(np.zeros((0, n), dtype=object)).tolist() == []
+    assert empty.coords([[field.zero()] * n] * 2).tolist() == [[], []]
     assert empty.coords([[field.zero()] * n, [field.one()] + [field.zero()] * (n - 1)]) is None
 
 
@@ -302,7 +302,7 @@ def test_whole_echelon_equals_sequential_inserts(case):
     one_by_one = EchelonSpan(field, ncols)
     grew = [i for i, row in enumerate(rows) if one_by_one.insert(row)]
     at_once = EchelonSpan(field, ncols, rows)
-    assert at_once.row_lists() == one_by_one.row_lists()
+    assert at_once.rows.tolist() == one_by_one.rows.tolist()
     assert at_once.pivots == one_by_one.pivots
     # the row rank profile is exactly where a sequential insert grew the span
     a = as_array(rows, field.p).reshape(len(rows), ncols)

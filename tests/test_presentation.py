@@ -277,16 +277,16 @@ def test_from_rows_rejects_rows_not_closed(algebras):
     A = algebras[(1, 2)]
     g1 = A.nf_word(bytes((G(1, 2),)))
     with pytest.raises(BuildError):
-        StructureAlgebra.from_rows(A, [A.dense(g1).tolist()], A.unit())
+        StructureAlgebra.from_rows(A, np.array([A.dense(g1)]), A.unit())
     # the unit too must lie in the span
     e1 = A.nf_word(bytes((E(1, 2),)))
     scale = A.params.omega0.inv().value
     e = {i: A.field.mul(scale, c) for i, c in e1.items()}
     with pytest.raises(BuildError):
-        StructureAlgebra.from_rows(A, [A.dense(e).tolist()], A.unit())
+        StructureAlgebra.from_rows(A, np.array([A.dense(e)]), A.unit())
     with pytest.raises(BuildError):
         StructureAlgebra.from_rows(A, [], A.unit())
-    assert StructureAlgebra.from_rows(A, [A.dense(e).tolist()], e).dim == 1
+    assert StructureAlgebra.from_rows(A, np.array([A.dense(e)]), e).dim == 1
 
 
 def test_from_table_rejects_incomplete_table():
@@ -647,6 +647,24 @@ def test_load_rejects_non_canonical_constant(field, value):
     blob = json.loads(dumps_algebra(build_algebra(2, generic(1, field=field))))
     _constant(blob)[1] = value
     with pytest.raises(BuildError, match="corrupted algebra dump: "):
+        load_algebra(blob)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("n", "2", "n = '2'"), ("n", 2.0, "n = 2.0"), ("n", None, "n = None"),
+    ("n", True, "n = True"), ("n", 0, "n = 0"),
+    ("variant", 7, "unknown variant 7"), ("variant", None, "unknown variant None"),
+    ("r", 5, "r = 5"), ("r", True, "r = True"),
+], ids=["n-string", "n-float", "n-null", "n-bool", "n-zero", "variant-number",
+        "variant-null", "r-wrong", "r-bool"])
+def test_load_rejects_bad_header(key, value, match):
+    blob = json.loads(dumps_algebra(build_algebra(2, generic(1))))
+    assert (blob["n"], blob["r"], blob["variant"]) == (2, 1, "bmw")
+    blob[key] = value
+    with pytest.raises(BuildError, match="^corrupted algebra dump: " + match):
+        load_algebra(blob)
+    del blob[key]
+    with pytest.raises(BuildError, match="^corrupted algebra dump: "):
         load_algebra(blob)
 
 

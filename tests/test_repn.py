@@ -12,7 +12,7 @@ from cycbmw.linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul_mo
                            rank_profile, reduce_mod)
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import (BuildError, StructureAlgebra, build_algebra,
-                                 corner_algebra, truncation_idempotent)
+                                 corner_algebra, ideal_generated_by, truncation_idempotent)
 from cycbmw import repn
 from cycbmw.repn import (_coprime_idempotent_polys, center,
                          central_primitive_idempotents,
@@ -77,7 +77,7 @@ def test_radical_of_field_is_zero():
         one = field.one()
         A = StructureAlgebra.from_table(field, {(0, 0): ((0, one),)}, 1,
                                         {0: one}, labels=["1"])
-        assert radical(A) == []
+        assert radical(A).tolist() == []
 
 
 def test_radical_dual_numbers():
@@ -93,7 +93,7 @@ def test_radical_matrix_algebra_char_p():
     # the plain trace form degenerates on M_2 over GF(2); the p-power
     # refinement must still find radical 0
     A = matrix_algebra(GF(2), 2)
-    assert radical(A) == []
+    assert radical(A).tolist() == []
     rep = wedderburn(A, [])
     assert rep.block_dims_sorted() == [2] and rep.split
 
@@ -247,7 +247,7 @@ def test_quotient_is_semisimple():
     for A in (group_algebra_s3(GF(3)), dual_numbers(QQ)):
         rad = radical(A)
         S = semisimple_quotient(A, rad).S
-        assert radical(S) == []
+        assert radical(S).tolist() == []
 
 
 def _quotient_by_entries(A, rad_rows):
@@ -278,7 +278,7 @@ QUOTIENT_CASES = {
 def test_quotient_matches_entrywise_reference(case):
     A = QUOTIENT_CASES[case]()
     rad = radical(A)
-    assert rad
+    assert rad.tolist()
     S = semisimple_quotient(A, rad).S
     table, unit, gens = _quotient_by_entries(A, rad)
     products = {(a, b): S.product(a, b) for a in range(S.dim) for b in range(S.dim)}
@@ -354,7 +354,7 @@ def test_simple_modules_and_action_consistency():
         for _ in range(20):
             a = A.gens[rng.choice(names)]
             b = A.gens[rng.choice(names)]
-            left = M.action_matrix(A.mul(a, b))
+            left = M.action_matrix(A.mul(a, b)).tolist()
             right = matmul_mod(as_array(M.action_matrix(a), f.p),
                                as_array(M.action_matrix(b), f.p), f.p).tolist()
             assert left == right
@@ -396,7 +396,7 @@ def test_regular_module_truncation_rank():
     quot = semisimple_quotient(A, radical(A))
     f = A.field
     rows = [A.dense({i: f.one()}) for i in range(A.dim)]
-    M = ModuleRep(quot, rows)
+    M = ModuleRep(quot, np.array(rows))
     e = truncation_idempotent(A, p)
     C = corner_algebra(A, e)
     T = truncate_module(M, e)
@@ -433,13 +433,44 @@ def test_empty_module_acts_by_empty_matrices():
     A = build_algebra(3, generic(1))
     rep = wedderburn(A, radical(A))
     quot = rep._quotient
-    Z = ModuleRep(quot, [])
-    assert Z.dim == 0 and Z.action_matrix(A.gens["g1"]) == []
+    Z = ModuleRep(quot, np.zeros((0, quot.S.dim), dtype=dtype_for(A.field.p)))
+    assert Z.dim == 0 and Z.action_matrix(A.gens["g1"]).tolist() == []
     for M in simple_modules(A, rep):
         T = truncate_module(M, {})
         assert T.dim == 0
-        assert T.action_matrix(A.unit()) == [] and T.action_matrix(A.gens["e1"]) == []
+        assert (T.action_matrix(A.unit()).tolist() == []
+                and T.action_matrix(A.gens["e1"]).tolist() == [])
         assert truncate_module(T, A.unit()).dim == 0
+
+
+@pytest.mark.parametrize("field", [F101, GF(2**61 - 1), QQ], ids=["p101", "p2^61-1", "Q"])
+def test_row_sets_are_2d_arrays_of_the_field_dtype(field):
+    """Row sets stay arrays in dtype_for(p) from linalg through repn, with
+    shape (0, columns) when they are empty."""
+    want = dtype_for(field.p)
+
+    def check(rows, shape):
+        assert isinstance(rows, np.ndarray) and rows.dtype == want and rows.shape == shape
+
+    one, zero = field.one(), field.zero()
+    check(nullspace([[one, zero, zero]], 3, field), (2, 3))
+    check(nullspace([[one, zero], [zero, one]], 2, field), (0, 2))
+    check(RowBasis([[one, zero, zero]], field).coords([[one, zero, zero]] * 2), (2, 1))
+    check(RowBasis([], field).coords([[zero] * 3] * 2), (2, 0))
+    for A, rad_dim in ((dual_numbers(field), 1), (matrix_algebra(field, 2), 0)):
+        v = A.dense(A.unit())
+        assert A.dense(v) is v
+        rad = radical(A)
+        check(rad, (rad_dim, A.dim))
+        S = semisimple_quotient(A, rad).S
+        check(center(S), (1, S.dim))
+        check(ideal_generated_by(A, {})[1], (0, A.dim))
+        check(ideal_generated_by(A, A.unit())[1], (A.dim, A.dim))
+        rep = wedderburn(A, rad)
+        for M in simple_modules(A, rep):
+            check(M.rows, (M.dim, S.dim))
+            check(M.action_matrix(A.unit()), (M.dim, M.dim))
+            check(truncate_module(M, {}).rows, (0, S.dim))
 
 
 def test_nilpotent_ideal_certificate_rejects():
@@ -556,9 +587,9 @@ def _analysis_digest():
               build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True))):
         rad = radical(A)
         rep = wedderburn(A, rad)
-        payload = [rad, [sorted(eps.items()) for eps in rep._central_idempotents],
+        payload = [rad.tolist(), [sorted(eps.items()) for eps in rep._central_idempotents],
                    [sorted(info.idempotent.items()) for info in rep.block_info],
-                   [M.rows for M in simple_modules(A, rep)]]
+                   [M.rows.tolist() for M in simple_modules(A, rep)]]
         h.update(repr(payload).encode())
     return h.hexdigest()
 
@@ -593,13 +624,13 @@ def _central_idempotents_every_round(S, center_rows):
     f, m = S.field, S.field.p
     if not center_rows:
         return []
-    Z = StructureAlgebra.from_rows(S, center_rows, S.unit())
+    Zm = as_array(center_rows, m)
+    Z = StructureAlgebra.from_rows(S, Zm, S.unit())
     idems = [Z.unit()]
     for b in range(Z.dim):
         z = {b: f.one()}
         idems = [part for eps in idems
                  for part in repn._split(Z, Z.mul(Z.mul(eps, z), eps), eps) or [eps]]
-    Zm = as_array(center_rows, m)
     return [S.sparse(matmul_mod(Z.dense(eps), Zm, m)) for eps in idems]
 
 
@@ -618,7 +649,7 @@ def test_central_idempotents_stop_early_and_sandwich_is_right_matrix(case):
     S = semisimple_quotient(A, radical(A)).S
     cen = center(S)
     idems = central_primitive_idempotents(S, cen)
-    assert idems == _central_idempotents_every_round(S, cen)
+    assert idems == _central_idempotents_every_round(S, cen.tolist())
     for eps in idems:
         assert S.mul(eps, eps) == eps
         assert S.sandwich(eps).tolist() == S.right_matrix(eps).tolist()
@@ -650,13 +681,13 @@ def _pairwise_ideals(A):
     I_{i-1}, each entry a binary power of the product of two lifted right
     matrices.  The last ideal is the oracle for `radical`."""
     f, p = A.field, A.field.p
-    ideals = [nullspace(repn._form(A, repn._trace(A)), A.dim, f)]
+    ideals = [nullspace(repn._form(A, repn._trace(A)), A.dim, f).tolist()]
     i = 1
     while p**i <= A.dim and ideals[-1]:
         basis, mod = ideals[-1], p ** (i + 1)
         lifts = [A.right_matrix(A.sparse(v)).astype(dtype_for(mod)) for v in basis]
         gram = [[_g(matmul_mod(Ms, Mt, mod), p, i) for Mt in lifts] for Ms in lifts]
-        coords = nullspace(gram, len(basis), f)
+        coords = nullspace(gram, len(basis), f).tolist()
         ideals.append(matmul_mod(as_array(coords, p), as_array(basis, p), p).tolist()
                       if coords else [])
         i += 1
@@ -680,7 +711,7 @@ def test_radical_matches_pairwise_gram(case):
     A = make()
     ideals = _pairwise_ideals(A)
     assert [len(ideal) for ideal in ideals] == dims
-    assert radical(A) == ideals[-1]
+    assert radical(A).tolist() == ideals[-1]
 
 
 @pytest.mark.parametrize("case", sorted(ROUND_CASES))
