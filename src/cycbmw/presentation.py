@@ -727,22 +727,47 @@ def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebr
 
 # -- canonical JSON dump ---------------------------------------------------------
 
+_DUMP_ROWS = 64   # rows i per joined chunk of the products text: 0.8M entries at B(1,5)
+
+
+def _distinct(keys: np.ndarray, size: int):
+    """(values, inverse): the distinct entries of keys, and the index of
+    each entry among them.  int64 keys in range(size) are marked in a
+    presence array when size is not much beyond len(keys).  Other keys
+    (Fractions, big ints, a wide range) are hashed by their integer ratio,
+    which hashes faster than a Fraction."""
+    if keys.dtype == object or size > 4 * len(keys) + 4096:
+        index: Dict[tuple, int] = {}
+        inverse = np.array([index.setdefault(x.as_integer_ratio(), len(index))
+                            for x in keys.tolist()], dtype=np.int64)
+        values = np.empty(len(index), dtype=keys.dtype)
+        values[inverse] = keys
+        return values, inverse
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
 def dump_algebra(A: StructureAlgebra) -> dict:
-    """Canonical JSON-able dump, byte-identical across runs and across
-    dump -> load -> dump; needs the parameter set, which a corner lacks."""
+    """The canonical dump as a dict: `dumps_algebra`'s text, parsed."""
+    return json.loads(dumps_algebra(A))
+
+
+def dumps_algebra(A: StructureAlgebra) -> str:
+    """Canonical JSON text of A, byte-identical across runs and across
+    dump -> load -> dump; needs the parameter set, which a corner lacks.
+
+    The text is json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    of a blob whose "products" lists [i, j, [[k, "c"], ...]] for every
+    b_i b_j = sum c b_k, in (i, j, k) order.  The products are rendered
+    straight from the structure constants: each distinct constant is
+    rendered and quoted once, each distinct entry [k,"c"] (and its
+    comma-led twin) is made once, and the rows i are joined _DUMP_ROWS at
+    a time."""
     p = A.params
     if p is None:
         raise BuildError("dump needs an algebra built or loaded with its parameters")
-    f = A.field
-    I, J, K, C, _ = A.structure_constants()
-    # the columns come in order of j, each in (i, k) order: a stable sort by
-    # i gives the (i, j, k) order, in which the entries of b_i b_j, with
-    # t = i dim + j, lie at bounds[t]:bounds[t + 1]
-    order = np.argsort(I, kind="stable")
-    bounds = np.searchsorted((I * A.dim + J)[order], np.arange(A.dim**2 + 1)).tolist()
-    entries = [[k, f.render(c)] for k, c in zip(K[order].tolist(), C[order].tolist())]
-    products = [[t // A.dim, t % A.dim, entries[lo:hi]]
-                for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    f, dim = A.field, A.dim
     params_blob = {
         "q": str(p.q),
         "rho": str(p.rho),
@@ -751,19 +776,56 @@ def dump_algebra(A: StructureAlgebra) -> dict:
     }
     if not p.admissible and p.r > 1:
         params_blob["omega"] = [str(w) for w in p._explicit]
-    return {
+    header = {
         "field": f.descriptor_string(),
         "n": A.n,
         "r": p.r,
         "variant": A.variant,
         "params": params_blob,
         "basis": list(A.labels),
-        "products": products,
+        "products": None,
     }
+    # the header's text, split where the products go: a quote inside a JSON
+    # string is escaped, so the key is found once
+    before, after = json.dumps(header, sort_keys=True,
+                               separators=(",", ":")).split('"products":null')
 
-
-def dumps_algebra(A: StructureAlgebra) -> str:
-    return json.dumps(dump_algebra(A), sort_keys=True, separators=(",", ":")) + "\n"
+    I, J, K, C, _ = A.structure_constants()
+    values, inverse = _distinct(C, f.p)
+    quoted = [json.dumps(f.render(c)) for c in values.tolist()]
+    keys, e_of = _distinct(K * len(values) + inverse, dim * len(values))
+    del inverse
+    ks, cs = divmod(keys, len(values))
+    entries = [f"[{k},{quoted[c]}]" for k, c in zip(ks.tolist(), cs.tolist())]
+    table = np.array(entries + ["," + e for e in entries], dtype=object)
+    # the columns come in order of j, each in (i, k) order: a stable sort by
+    # i gives the (i, j, k) order, in which the entries of b_i b_j, with
+    # t = i dim + j, lie at bounds[t]:bounds[t + 1]
+    counts = np.bincount(I * dim + J, minlength=dim * dim)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    # every entry is the comma-led twin but the first of its product
+    tok = e_of[np.argsort(I, kind="stable")] + len(entries)
+    del e_of
+    tok[bounds[:-1][counts > 0]] -= len(entries)
+    # product (i, j) opens with "]],[i," (closing the one before it) and "j,["
+    opens = np.array([f"]],[{i}," for i in range(dim)], dtype=object)
+    cols = np.array([f"{j},[" for j in range(dim)], dtype=object)
+    chunks = []
+    for i0 in range(0, dim, _DUMP_ROWS):
+        rows = opens[i0:i0 + _DUMP_ROWS]
+        t0, t1 = i0 * dim, (i0 + len(rows)) * dim
+        lo = bounds[t0]
+        at = bounds[t0:t1] - lo + 2 * np.arange(t1 - t0)
+        pieces = np.empty(bounds[t1] - lo + 2 * (t1 - t0), dtype=object)
+        pieces[at] = np.repeat(rows, dim)
+        pieces[at + 1] = np.tile(cols, len(rows))
+        entry = np.ones(len(pieces), dtype=bool)
+        entry[at] = entry[at + 1] = False
+        pieces[entry] = table[tok[lo:bounds[t1]]]
+        if not i0:
+            pieces[0] = "[[0,"
+        chunks.append("".join(pieces.tolist()))
+    return "".join([before, '"products":', *chunks, "]]]", after, "\n"])
 
 
 def load_algebra(blob: dict) -> StructureAlgebra:
@@ -772,6 +834,8 @@ def load_algebra(blob: dict) -> StructureAlgebra:
     try:
         field = Field.from_descriptor(blob["field"])
         pb = blob["params"]
+        if type(pb["admissible"]) is not bool:
+            raise ValueError(f"admissible = {pb['admissible']!r} is not a bool")
         p = ParameterSet(field, pb["q"], pb["rho"], pb["u"],
                          admissible=pb["admissible"],
                          omegas=pb.get("omega"))
@@ -784,6 +848,9 @@ def load_algebra(blob: dict) -> StructureAlgebra:
             raise ValueError(f"unknown variant {variant!r}")
         labels = blob["basis"]
         dim = len(labels)
+        if len(set(labels)) < dim:
+            repeated = next(lab for t, lab in enumerate(labels) if lab in labels[:t])
+            raise ValueError(f"repeated basis label {repeated!r}")
         products = blob["products"]
         heads = [x for i, j, _ in products for x in (i, j)]
         ks = [k for _, _, entries in products for k, _ in entries]

@@ -442,6 +442,15 @@ def test_frontier_b33_table_digest(b33):
         "4fb19013560b1b691d23df6c2a0b29e8de4a1e4538e5ef0cb8ef2a50a70f8495"
 
 
+def test_frontier_b33_dump_digest(b33):
+    # the canonical text of all 164,025 products, recorded when the dump was
+    # still json.dumps of one [k, c] list per constant
+    data = dumps_algebra(b33).encode()
+    assert len(data) == 53_164_498
+    assert hashlib.sha256(data).hexdigest() == \
+        "e7772d3ff4c82ce5b8b881da0de10f447406ef4f5231302fb2a34c1de4a0c9a9"
+
+
 def test_frontier_b33_overlap_index(b33):
     pairwise = pairwise_overlaps(b33.rules)
     assert list(rewriting._overlap_triples(sorted(b33.rules.rules, key=rewriting.deglex_key))) \
@@ -530,6 +539,59 @@ def test_each_generator_action_is_reduced_once(monkeypatch):
 ], ids=["b13", "semi_b23", "ak_b23", "b31", "q_b13", "q_b32", "gf2p61_b32"])
 def test_dump_load_dump_is_byte_identical(n, params, variant):
     text = dumps_algebra(build_algebra(n, params(), variant=variant))
+    assert dumps_algebra(load_algebra(json.loads(text))) == text
+
+
+def _dumps_by_entry_lists(A):
+    """The canonical text as json.dumps of a blob holding one [k, c] list
+    per structure constant: the oracle for `dumps_algebra`."""
+    p, f, dim = A.params, A.field, A.dim
+    I, J, K, C, _ = A.structure_constants()
+    order = np.argsort(I, kind="stable")
+    bounds = np.searchsorted((I * dim + J)[order], np.arange(dim**2 + 1)).tolist()
+    entries = [[k, f.render(c)] for k, c in zip(K[order].tolist(), C[order].tolist())]
+    params = {"q": str(p.q), "rho": str(p.rho), "u": [str(x) for x in p.u],
+              "admissible": p.admissible}
+    if not p.admissible and p.r > 1:
+        params["omega"] = [str(w) for w in p._explicit]
+    blob = {"field": f.descriptor_string(), "n": A.n, "r": p.r, "variant": A.variant,
+            "params": params, "basis": list(A.labels),
+            "products": [[t // dim, t % dim, entries[lo:hi]]
+                         for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]}
+    return json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n,params,variant,empty", [
+    (2, lambda: generic(1), "bmw", 0),
+    (4, lambda: generic(1), "bmw", 0),
+    (3, semi_21, "bmw", 0),
+    (3, lambda: generic(2), "ariki_koike", 0),
+    (4, lambda: generic(1), "ariki_koike", 0),
+    (2, lambda: generic(3, field=GF(2**31 - 1)), "bmw", 27),
+    (2, lambda: generic(3, field=GF(2**61 - 1)), "bmw", 0),
+    (3, lambda: generic(1, field=QQ), "bmw", 0),
+    (2, lambda: _rational((1, 4, Fraction(1, 4))), "bmw", 0),
+], ids=["b12", "b14", "semi_b23", "ak_b23", "ak_b14", "gf2p31_b32", "gf2p61_b32", "q_b13",
+        "q_b32"])
+def test_dumps_matches_entry_list_encoder(n, params, variant, empty):
+    A = build_algebra(n, params(), variant=variant)
+    text = dumps_algebra(A)
+    assert text == _dumps_by_entry_lists(A)
+    products = json.loads(text)["products"]
+    assert sum(not entries for _, _, entries in products) == empty
+    if A.field.p == 0:
+        # the Q constants include negative and a/b renderings
+        consts = {c for _, _, entries in products for _, c in entries}
+        assert any(c.startswith("-") for c in consts) and any("/" in c for c in consts)
+
+
+def test_empty_first_and_last_products_round_trip():
+    blob = json.loads(dumps_algebra(build_algebra(3, generic(1))))
+    products = blob["products"]
+    assert products[0][:2] == [0, 0] and products[-1][:2] == [14, 14]
+    products[0][2] = products[-1][2] = []
+    text = json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
+    assert '"products":[[0,0,[]],[0,1,[' in text and text.endswith(',[14,14,[]]],"r":1,"variant":"bmw"}\n')
     assert dumps_algebra(load_algebra(json.loads(text))) == text
 
 
@@ -665,6 +727,25 @@ def test_load_rejects_bad_header(key, value, match):
         load_algebra(blob)
     del blob[key]
     with pytest.raises(BuildError, match="^corrupted algebra dump: "):
+        load_algebra(blob)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []],
+                         ids=["string-false", "string-true", "zero", "one", "null", "list"])
+def test_load_rejects_non_bool_admissible(value):
+    blob = json.loads(dumps_algebra(build_algebra(2, generic(1))))
+    assert blob["params"]["admissible"] is True
+    blob["params"]["admissible"] = value
+    with pytest.raises(BuildError, match=r"^corrupted algebra dump: admissible = .* is not a bool$"):
+        load_algebra(blob)
+
+
+def test_load_rejects_repeated_basis_label():
+    blob = json.loads(dumps_algebra(build_algebra(2, generic(1))))
+    assert blob["basis"] == ["1", "e1", "g1"]
+    # the generators e1 and g1 would collapse to one
+    blob["basis"][1] = "g1"
+    with pytest.raises(BuildError, match="^corrupted algebra dump: repeated basis label 'g1'$"):
         load_algebra(blob)
 
 
