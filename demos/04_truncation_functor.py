@@ -6,6 +6,8 @@ algebra two strands down.  On simple modules the truncation kills exactly
 the top layer (f = 0) of the index set and sends the rest down one step.
 """
 
+import numpy as np
+
 from cycbmw import (GF, ParameterSet, build_algebra, corner_algebra,
                     functor_grading_check, radical, simple_modules,
                     truncation_idempotent, wedderburn)
@@ -17,7 +19,7 @@ p = ParameterSet(F, q, u1.inv(), [u1], admissible=True)
 
 A = build_algebra(3, p)
 e = truncation_idempotent(A, p)
-print("e supported on:", [A.labels[i] for i in sorted(e)], "with e^2 = e")
+print("e supported on:", [A.labels[i] for i in np.flatnonzero(e)], "with e^2 = e")
 
 C = corner_algebra(A, e)
 print("corner dim:", C.dim, "= dim of the n-2 algebra"
@@ -35,5 +37,5 @@ p0 = ParameterSet(F, q0, q0, [q0.inv()], admissible=True)
 A0 = build_algebra(3, p0)
 e0 = truncation_idempotent(A0, p0)
 print("\nomega_0 = 0 branch: e supported on",
-      [A0.labels[i] for i in sorted(e0)], "- still idempotent,",
+      [A0.labels[i] for i in np.flatnonzero(e0)], "- still idempotent,",
       "corner dim", corner_algebra(A0, e0).dim)

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .fields import GF
 from .params import (ParameterSet, admissible_rho, alpha_candidates, check_admissible,
                      gamma_weights)
@@ -253,15 +255,15 @@ def _crit_properties(ctx: Context) -> Tuple[bool, str]:
             i, j, k = (rng.randrange(A.dim) for _ in range(3))
             left = A.mul(A.mul({i: one}, {j: one}), {k: one})
             right = A.mul({i: one}, A.mul({j: one}, {k: one}))
-            if left != right:
+            if not np.array_equal(left, right):
                 return False, f"associativity fails in B_{{{r},{n}}} at {(i, j, k)}"
         for name, coords in A.gens.items():
-            if A.star(coords) != coords:
+            if not np.array_equal(A.star(coords), coords):
                 return False, f"* moves generator {name} in B_{{{r},{n}}}"
         for _ in range(200):
             a = {rng.randrange(A.dim): F.of_int(rng.randrange(1, P))}
             b = {rng.randrange(A.dim): F.of_int(rng.randrange(1, P))}
-            if A.star(A.mul(a, b)) != A.mul(A.star(b), A.star(a)):
+            if not np.array_equal(A.star(A.mul(a, b)), A.mul(A.star(b), A.star(a))):
                 return False, f"*(ab) != b*a* in B_{{{r},{n}}}"
     # dominance is a partial order: exhaustive for m <= 5, r <= 2
     for r in (1, 2):

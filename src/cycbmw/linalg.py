@@ -158,10 +158,14 @@ class EchelonSpan:
 
     def reduce(self, v) -> np.ndarray:
         """Residual of v modulo the span, as a new array: v - v[pivots].rows,
-        zero at every pivot."""
+        zero at every pivot; a matrix v is reduced row by row.  Over Q it is
+        (N_v d_r - N_v[pivots] N_r) / (d_v d_r) on the integer numerators."""
         m = self.field.p
         v = as_array(v, m)
-        return reduce_mod(v - matmul_mod(v[self.pivots], self.rows, m), m)
+        if not m:
+            (nv, dv), (nr, dr) = fraction_free(v), fraction_free(self.rows)
+            return from_fraction_free(nv * dr - nv[..., self.pivots] @ nr, dv * dr)
+        return reduce_mod(v - matmul_mod(v[..., self.pivots], self.rows, m), m)
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the dimension grew."""

@@ -245,6 +245,10 @@ class StructureAlgebra:
     the first gather) times those of its operands, with one Fraction made
     per output entry.
 
+    An element (the unit, a generator, what `mul`, `nf_word`, `nf_element`
+    and `star` return) is a vector of length dim in that dtype; methods take
+    them through `dense`, which also accepts a dict, and never write into them.
+
     Two births: from a completed rewriting system (basis = irreducible
     words), whose columns `materialize()` fills, or with every column
     filled, from flat constants (`from_constants`: loaded dumps, and through
@@ -262,15 +266,14 @@ class StructureAlgebra:
     the concatenations entry for entry.
     """
 
-    def __init__(self, field: Field, dim: int, unit_coords: Dict[int, object],
-                 labels: Optional[List[str]], gens: Optional[Dict[str, dict]] = None,
-                 meta: Optional[dict] = None):
+    def __init__(self, field: Field, dim: int, unit, labels: Optional[List[str]],
+                 gens: Optional[dict] = None, meta: Optional[dict] = None):
         self.field = field
         self.dim = dim
-        self.unit_coords = unit_coords
+        self._unit = self.dense(unit)
         self.labels = labels or [f"b{i}" for i in range(dim)]
         self._table: List[tuple] = []   # the filled columns (I, K, C), in order of j
-        self.gens = gens or {}
+        self.gens = {name: self.dense(g) for name, g in (gens or {}).items()}
         self.meta = meta or {}
         self._constants = None   # sparse structure constants, see structure_constants
         self._numerators = None  # over Q: C as (integer numerators, common denominator)
@@ -289,8 +292,10 @@ class StructureAlgebra:
     def from_rewriting(cls, field: Field, rules: RewriteSystem, basis: Basis,
                        n: int, params: ParameterSet, variant: str, meta: dict):
         words = basis.words
+        # the generator g is the action of g on the unit, words[0]
+        gens = {gen_name(g, n): act[0] for g, act in enumerate(basis.actions)}
         alg = cls(field, len(words), {0: field.one()}, [word_str(w, n) for w in words],
-                  meta=meta)
+                  gens=gens, meta=meta)
         alg.rules = rules
         alg.basis = basis
         alg.words = words
@@ -298,24 +303,22 @@ class StructureAlgebra:
         alg.n = n
         alg.params = params
         alg.variant = variant
-        # the generator g is the action of g on the unit, words[0]
-        alg.gens = {gen_name(g, n): dict(act[0]) for g, act in enumerate(basis.actions)}
         return alg
 
     @classmethod
     def from_table(cls, field: Field, table: Dict[Tuple[int, int], tuple], dim: int,
-                   unit_coords: Dict[int, object], labels: Optional[List[str]] = None,
-                   gens: Optional[Dict[str, dict]] = None, meta: Optional[dict] = None):
+                   unit, labels: Optional[List[str]] = None,
+                   gens: Optional[dict] = None, meta: Optional[dict] = None):
         """The algebra with products table[(i, j)] = ((k, c), ...)."""
         if len(table) != dim * dim:
             raise BuildError("product table is incomplete")
         entries = [(i, j, k, c) for (i, j), prod in table.items() for k, c in prod]
         I, J, K = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3).T
         C = as_array([e[3] for e in entries], field.p)
-        return cls.from_constants(field, dim, I, J, K, C, unit_coords, labels, gens, meta)
+        return cls.from_constants(field, dim, I, J, K, C, unit, labels, gens, meta)
 
     @classmethod
-    def from_constants(cls, field: Field, dim: int, I, J, K, C, unit_coords, labels, gens, meta):
+    def from_constants(cls, field: Field, dim: int, I, J, K, C, unit, labels, gens, meta):
         """The algebra with b_i b_j = sum of C b_K over the positions with
         (I, J) = (i, j), each product in strictly increasing k; one stable
         sort by (j, i) makes them column-major."""
@@ -325,24 +328,23 @@ class StructureAlgebra:
         if len(bad):
             raise BuildError(f"the k of product ({I[bad[0]]}, {J[bad[0]]}) are not "
                              "strictly increasing")
-        alg = cls(field, dim, unit_coords, labels, gens=gens, meta=meta)
+        alg = cls(field, dim, unit, labels, gens=gens, meta=meta)
         alg._store(I, K, C, np.searchsorted(J, np.arange(dim + 1)))
         return alg
 
     @classmethod
-    def from_columns(cls, field: Field, columns: List[np.ndarray],
-                     unit_coords: Dict[int, object], labels: Optional[List[str]],
-                     gens: Optional[Dict[str, dict]], meta: Optional[dict]):
+    def from_columns(cls, field: Field, columns: List[np.ndarray], unit,
+                     labels: Optional[List[str]], gens: Optional[dict], meta: Optional[dict]):
         """The algebra whose right multiplication by b_j is the reduced array
         columns[j]: row i of it holds the coordinates of b_i b_j."""
-        alg = cls(field, len(columns), unit_coords, labels, gens=gens, meta=meta)
+        alg = cls(field, len(columns), unit, labels, gens=gens, meta=meta)
         for column in columns:
             I, K = np.nonzero(column)
             alg._table.append((I, K, column[I, K]))
         return alg
 
     @classmethod
-    def from_rows(cls, A: "StructureAlgebra", rows: np.ndarray, unit: Dict[int, object],
+    def from_rows(cls, A: "StructureAlgebra", rows: np.ndarray, unit,
                   labels: Optional[List[str]] = None):
         """The subalgebra of A spanned by the independent rows of the array
         `rows`, with unit `unit` (an element of A).  Row a of rows R_{rows[b]}
@@ -353,7 +355,7 @@ class StructureAlgebra:
         x.append(basis.coords(A.dense(unit)))
         if any(c is None for c in x):
             raise BuildError("rows do not span a subalgebra")
-        return cls.from_columns(A.field, x[:-1], A.sparse(x[-1]), labels,
+        return cls.from_columns(A.field, x[:-1], x[-1], labels,
                                 gens=None, meta={"parent_rows": rows})
 
     def materialize(self):
@@ -435,12 +437,13 @@ class StructureAlgebra:
         np.add.at(out, slots, vals)
         return from_fraction_free(out, d)
 
-    def mul(self, a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
+    def mul(self, a, b) -> np.ndarray:
+        """The product a b, a new vector."""
         I, J, K, _, colstart = self.structure_constants()
         va, vb = self.dense(a), self.dense(b)
         sel = _runs(colstart, np.flatnonzero(vb))[0]
         sel = sel[va.astype(bool)[I[sel]]]
-        return self.sparse(self._gather(sel, [(va, I[sel]), (vb, J[sel])], K[sel], self.dim))
+        return self._gather(sel, [(va, I[sel]), (vb, J[sel])], K[sel], self.dim)
 
     def right_matrix(self, x) -> np.ndarray:
         """Matrix of right multiplication by x: row i = coordinates of b_i x."""
@@ -458,30 +461,28 @@ class StructureAlgebra:
         return self._gather(sel, [(va, I[sel])], J[sel] * self.dim + K[sel],
                             self.dim**2).reshape(self.dim, self.dim)
 
-    def sandwich(self, e: Dict[int, object]) -> np.ndarray:
+    def sandwich(self, e) -> np.ndarray:
         """Rows spanning e A e: row i of L_e R_e is e b_i e."""
         return matmul_mod(self.left_matrix(e), self.right_matrix(e), self.field.p)
 
-    def unit(self) -> Dict[int, object]:
-        return dict(self.unit_coords)
+    def unit(self) -> np.ndarray:
+        """The unit, a copy."""
+        return self._unit.copy()
 
-    def multipliers(self) -> List[Dict[int, object]]:
+    def multipliers(self) -> List[np.ndarray]:
         """The generators, or every basis element when none are known."""
-        return list(self.gens.values()) or [{i: self.field.one()} for i in range(self.dim)]
+        return list(self.gens.values()) or [self.dense({i: self.field.one()})
+                                            for i in range(self.dim)]
 
     def dense(self, x) -> np.ndarray:
-        """x, a dict {index: raw coefficient} or an array in the field's dtype,
-        as an array; an array is returned as it is (no method writes into it)."""
+        """x as an element: a dict {index: raw coefficient} becomes a vector
+        of length dim in the field's dtype; an array is returned as it is
+        (no method writes into an element)."""
         if isinstance(x, np.ndarray):
             return x
         v = zeros(self.dim, self.field.p)
         v[list(x)] = list(x.values())
         return v
-
-    def sparse(self, vec) -> Dict[int, object]:
-        vec = np.asarray(vec)
-        nz = np.flatnonzero(vec)
-        return dict(zip(nz.tolist(), vec[nz].tolist()))
 
     # -- word-born helpers -------------------------------------------------------
 
@@ -489,21 +490,26 @@ class StructureAlgebra:
         if self.rules is None:
             raise BuildError("operation needs a presentation-born algebra")
 
-    def nf_word(self, w: bytes) -> Dict[int, object]:
+    def nf_word(self, w: bytes) -> np.ndarray:
         """NF(w), walked from the unit through the generator actions."""
         self._need_words()
-        return dict(self.basis.times(0, w, {}))
+        return self.dense(self.basis.times(0, w, {}))
 
-    def nf_element(self, elem: Dict[bytes, object]) -> Dict[int, object]:
+    def nf_element(self, elem: Dict[bytes, object]) -> np.ndarray:
+        """NF of a word-keyed element {word: raw coefficient}."""
         self._need_words()
         red = self.rules.reduce(elem)
-        return {self.word_index[v]: c for v, c in red.items()}
+        return self.dense({self.word_index[v]: c for v, c in red.items()})
 
-    def star(self, coords: Dict[int, object]) -> Dict[int, object]:
+    def star(self, x) -> np.ndarray:
         """The anti-involution fixing every generator: reverse words, reduce."""
         self._need_words()
-        # reversal is one-to-one on words: no two terms meet
-        return self.nf_element({self.words[i][::-1]: c for i, c in coords.items()})
+        v = self.dense(x)
+        nz = np.flatnonzero(v)
+        # reversal is one-to-one on words: no two terms meet; Python scalars,
+        # as `reduce` sums raw products, which would overflow in int64
+        return self.nf_element({self.words[i][::-1]: c
+                                for i, c in zip(nz.tolist(), v[nz].tolist())})
 
 
 # -- building -----------------------------------------------------------------
@@ -527,10 +533,8 @@ def expected_dimension(p: ParameterSet, n: int, variant: str,
 _probe_cache: Dict[tuple, tuple] = {}
 
 
-def _params_key(p: ParameterSet) -> tuple:
-    return (p.field.descriptor_string(), str(p.q), str(p.rho),
-            tuple(str(x) for x in p.u), p.admissible,
-            tuple(str(w) for w in p._explicit) if not p.admissible else ())
+def _params_key(p: ParameterSet) -> str:
+    return repr(_header(p))
 
 
 def select_orientation13(p: ParameterSet, variant: str = "bmw") -> str:
@@ -591,43 +595,35 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
     # the cap; otherwise the enumeration raises
     basis = rules.basis or Basis(rules, enumerate_irreducible_words(rules, gen_count(n), cap),
                                  gen_count(n))
-    d = None
-    if variant == "bmw" and not p.admissible and n >= 2:
-        if n == 2:
-            d = _semi_degree_in_words(basis, p, 2)
-        else:
-            # a confluent n = 2 system is the same at any cap: use the probe's
-            d = semi_admissibility_degree(p, orientation13=orientation13)
-    want, rule_name = expected_dimension(p, n, variant, d=d)
-    meta = {
+    alg = StructureAlgebra.from_rewriting(p.field, rules, basis, n, p, variant, {
         "n": n,
         "r": p.r,
         "variant": variant,
         "dimension": len(basis.words),
-        "expected_dimension": want,
-        "expected_rule": rule_name,
         "relation13_orientation": orientation13,
         "relation13_note": "y_1 in the printed right clause is undefined; "
                            f"resolved by validation to {orientation13!r}",
         "degree_cap": cap,
         "completion": dict(completion),
-    }
-    return StructureAlgebra.from_rewriting(p.field, rules, basis, n, p, variant, meta)
+    })
+    d = None
+    if variant == "bmw" and not p.admissible and n >= 2:
+        # a confluent n = 2 system is the same at any cap: use the probe's
+        d = _semi_degree(alg) if n == 2 else semi_admissibility_degree(
+            p, orientation13=orientation13)
+    alg.meta["expected_dimension"], alg.meta["expected_rule"] = expected_dimension(
+        p, n, variant, d=d)
+    return alg
 
 
-def _semi_degree_in_words(basis: Basis, p: ParameterSet, n: int) -> int:
-    """Rank profile of {e_1 x_1^k} against an already-enumerated basis."""
-    f = p.field
-    e1 = bytes((E(1, n),))
-    x = bytes((X(n),))
-    span = EchelonSpan(f, len(basis.words))
-    for k in range(p.r + 1):
-        vec = [f.zero()] * len(basis.words)
-        for i, c in basis.times(0, e1 + x * k, {}).items():
-            vec[i] = c
-        if not span.insert(vec):
+def _semi_degree(A: StructureAlgebra) -> int:
+    """Minimal d with {e_1, e_1 x_1, ..., e_1 x_1^d} dependent in the n = 2 algebra A."""
+    e1, x = bytes((E(1, 2),)), bytes((X(2),))
+    span = EchelonSpan(A.field, A.dim)
+    for k in range(A.params.r + 1):
+        if not span.insert(A.nf_word(e1 + x * k)):
             return k
-    return p.r
+    return A.params.r
 
 
 # -- operations on built algebras ----------------------------------------------
@@ -653,16 +649,16 @@ def check_omega_relations(A: StructureAlgebra, p: ParameterSet, a_max: int) -> O
     entries = []
     for a in range(a_max + 1):
         lhs = A.nf_word(e1 + x * a + e1)
-        entries.append((a, lhs == A.field.lincomb(((omega(p, a).value, e1_coords),))))
+        rhs = reduce_mod(omega(p, a).value * e1_coords, A.field.p)
+        entries.append((a, np.array_equal(lhs, rhs)))
     return OmegaRelationReport(entries)
 
 
 def semi_admissibility_degree(p: ParameterSet, degree_cap: Optional[int] = None,
                               orientation13: Optional[str] = None) -> int:
     """Minimal d with {e_1, e_1 x_1, ..., e_1 x_1^d} dependent in the n = 2 quotient."""
-    A = build_algebra(2, p, variant="bmw", degree_cap=degree_cap,
-                      orientation13=orientation13)
-    return _semi_degree_in_words(A.basis, p, 2)
+    return _semi_degree(build_algebra(2, p, variant="bmw", degree_cap=degree_cap,
+                                      orientation13=orientation13))
 
 
 def ideal_span(A: StructureAlgebra, rows) -> EchelonSpan:
@@ -682,13 +678,13 @@ def ideal_span(A: StructureAlgebra, rows) -> EchelonSpan:
         span = grown
 
 
-def ideal_generated_by(A: StructureAlgebra, x: Dict[int, object]):
+def ideal_generated_by(A: StructureAlgebra, x):
     """(dimension, echelon row basis) of the two-sided ideal A x A."""
     span = ideal_span(A, [A.dense(x)])
     return span.dim, span.rows
 
 
-def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, object]:
+def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> np.ndarray:
     """omega_0^{-1} e_{n-1}, falling back to rho * e_{n-1} g_{n-2} when
     omega_0 = 0 (which needs n >= 3); idempotency is verified, not assumed.
 
@@ -709,17 +705,17 @@ def truncation_idempotent(A: StructureAlgebra, p: ParameterSet) -> Dict[int, obj
             raise BuildError("omega_0 = 0 branch needs n >= 3 (uses g_{n-2})")
         w = bytes((E(n - 1, n), G(n - 2, n)))
         scale = p.rho.value
-    coords = A.field.lincomb(((scale, A.nf_word(w)),))
-    if A.mul(coords, coords) != coords:
+    coords = reduce_mod(scale * A.nf_word(w), A.field.p)
+    if not np.array_equal(A.mul(coords, coords), coords):
         raise BuildError("constructed element is not idempotent; presentation broken")
     return coords
 
 
-def corner_algebra(A: StructureAlgebra, e: Dict[int, object]) -> StructureAlgebra:
+def corner_algebra(A: StructureAlgebra, e: np.ndarray) -> StructureAlgebra:
     """The corner eAe with unit e, as a structure-constants algebra."""
-    if not any(e.values()):
+    if not e.any():
         raise BuildError("corner requires a nonzero idempotent")
-    if A.mul(e, e) != e:
+    if not np.array_equal(A.mul(e, e), e):
         raise BuildError("corner requires an idempotent")
     rows = EchelonSpan(A.field, A.dim, A.sandwich(e)).rows
     return StructureAlgebra.from_rows(A, rows, e, labels=[f"c{i}" for i in range(len(rows))])
@@ -748,6 +744,15 @@ def _distinct(keys: np.ndarray, size: int):
     return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
+def _header(p: ParameterSet) -> dict:
+    """The parameters' part of the dump's header: field, r and params."""
+    params = {"q": str(p.q), "rho": str(p.rho), "u": [str(x) for x in p.u],
+              "admissible": p.admissible}
+    if not p.admissible and p.r > 1:
+        params["omega"] = [str(w) for w in p._explicit]
+    return {"field": p.field.descriptor_string(), "r": p.r, "params": params}
+
+
 def dump_algebra(A: StructureAlgebra) -> dict:
     """The canonical dump as a dict: `dumps_algebra`'s text, parsed."""
     return json.loads(dumps_algebra(A))
@@ -768,23 +773,8 @@ def dumps_algebra(A: StructureAlgebra) -> str:
     if p is None:
         raise BuildError("dump needs an algebra built or loaded with its parameters")
     f, dim = A.field, A.dim
-    params_blob = {
-        "q": str(p.q),
-        "rho": str(p.rho),
-        "u": [str(x) for x in p.u],
-        "admissible": p.admissible,
-    }
-    if not p.admissible and p.r > 1:
-        params_blob["omega"] = [str(w) for w in p._explicit]
-    header = {
-        "field": f.descriptor_string(),
-        "n": A.n,
-        "r": p.r,
-        "variant": A.variant,
-        "params": params_blob,
-        "basis": list(A.labels),
-        "products": None,
-    }
+    header = {**_header(p), "n": A.n, "variant": A.variant, "basis": list(A.labels),
+              "products": None}
     # the header's text, split where the products go: a quote inside a JSON
     # string is escaped, so the key is found once
     before, after = json.dumps(header, sort_keys=True,
@@ -830,7 +820,8 @@ def dumps_algebra(A: StructureAlgebra) -> str:
 
 def load_algebra(blob: dict) -> StructureAlgebra:
     """Rebuild a table-born algebra (plus parameters) from a dump; the
-    constants go straight into flat arrays (`StructureAlgebra.from_constants`)."""
+    constants go straight into flat arrays (`StructureAlgebra.from_constants`).
+    The header and the basis labels must be those its algebra's dump writes."""
     try:
         field = Field.from_descriptor(blob["field"])
         pb = blob["params"]
@@ -846,11 +837,23 @@ def load_algebra(blob: dict) -> StructureAlgebra:
             raise ValueError(f"r = {r!r} but the parameters hold {p.r} values u")
         if variant not in ("bmw", "ariki_koike"):
             raise ValueError(f"unknown variant {variant!r}")
+        header = {**_header(p), "n": n, "variant": variant}
+        for key in sorted(set(blob) - {"basis", "products"} | set(header)):
+            if blob.get(key) != header.get(key):
+                raise ValueError(f"header {key!r} reads {blob.get(key)!r}, not {header.get(key)!r}")
         labels = blob["basis"]
         dim = len(labels)
         if len(set(labels)) < dim:
             repeated = next(lab for t, lab in enumerate(labels) if lab in labels[:t])
             raise ValueError(f"repeated basis label {repeated!r}")
+        bad = [lab for lab in labels
+               if type(lab) is not str or word_str(parse_word(lab, n), n) != lab]
+        if bad:
+            raise ValueError(f"basis label {bad[0]!r} is not a word for n = {n}")
+        # semi-admissible dimensions need d, which needs a build: labels only
+        want, _ = expected_dimension(p, n, variant)
+        if want is not None and dim != want:
+            raise ValueError(f"{dim} basis elements, but n = {n} has dimension {want}")
         products = blob["products"]
         heads = [x for i, j, _ in products for x in (i, j)]
         ks = [k for _, _, entries in products for k, _ in entries]

@@ -28,7 +28,7 @@ the corner's rows in A, so one action routine serves both.
 
 Row sets (radical and center bases, corners, module rows, action matrices)
 are 2-D arrays in the field's dtype, of shape (rows, columns) also when
-empty; elements handed back (idempotents) are dicts {index: coefficient}.
+empty; elements (idempotents, units, generators) are vectors in that dtype.
 
 All linear algebra is exact; random choices (only used to hunt splitting
 elements inside a block) are driven by an explicit seed and the
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import sympy
@@ -169,23 +169,17 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: np.ndarray) -> QuotientDa
     f = A.field
     if not len(rad_rows):
         return QuotientData(A, A.dense, list(range(A.dim)))
-    m = f.p
     span = EchelonSpan(f, A.dim, rad_rows)
-    P = span.pivots
-    complement = sorted(set(range(A.dim)) - set(P))
-    E = span.rows[:, complement]
+    complement = sorted(set(range(A.dim)) - set(span.pivots))
 
     def project(v) -> np.ndarray:
-        # the radical's RREF is zero at every pivot but its own, so
-        # v - v[P].RREF is EchelonSpan.reduce of each row of v; only its
-        # complement columns are kept, and E holds those of the RREF
-        v = A.dense(v)
-        return reduce_mod(v[..., complement] - matmul_mod(v[..., P], E, m), m)
+        # the residual is zero at the radical's pivots: keep the rest
+        return span.reduce(A.dense(v))[..., complement]
 
     # column b: row i = complement[a] of R_{b_j}, j = complement[b], is b_i b_j
     columns = [project(A.right_matrix({j: f.one()})[complement]) for j in complement]
-    gens = {name: A.sparse(project(coords)) for name, coords in A.gens.items()}
-    S = StructureAlgebra.from_columns(f, columns, A.sparse(project(A.unit())),
+    gens = {name: project(g) for name, g in A.gens.items()}
+    S = StructureAlgebra.from_columns(f, columns, project(A.unit()),
                                       [A.labels[j] for j in complement], gens, None)
     return QuotientData(S, project, complement)
 
@@ -232,7 +226,7 @@ def _coprime_idempotent_polys(mp_coeffs, f: Field):
     return out
 
 
-def _split(S: StructureAlgebra, w, e: Dict[int, object]) -> List[Dict[int, object]]:
+def _split(S: StructureAlgebra, w, e) -> List[np.ndarray]:
     """The nonzero parts h(w) of the idempotent e, one per coprime
     idempotent polynomial h of the minimal polynomial of w in the unital
     algebra (e S e, e); [] when that polynomial is primary.
@@ -252,13 +246,12 @@ def _split(S: StructureAlgebra, w, e: Dict[int, object]) -> List[Dict[int, objec
         powers.append(cur)
     mp = [f.neg(c) for c in RowBasis(powers, f).coords(cur)] + [f.one()]
     P = np.vstack(powers)
-    parts = [S.sparse(matmul_mod(as_array(h, m), P[:len(h)], m))
-             for h in _coprime_idempotent_polys(mp, f)]
-    return [part for part in parts if part]
+    parts = [matmul_mod(as_array(h, m), P[:len(h)], m) for h in _coprime_idempotent_polys(mp, f)]
+    return [part for part in parts if part.any()]
 
 
 def central_primitive_idempotents(S: StructureAlgebra,
-                                  center_rows: np.ndarray) -> List[Dict[int, object]]:
+                                  center_rows: np.ndarray) -> List[np.ndarray]:
     """Split the commutative semisimple center along minimal polynomials.
 
     The splitting runs inside the center algebra Z, of dimension
@@ -279,7 +272,7 @@ def central_primitive_idempotents(S: StructureAlgebra,
             break
         z = {b: f.one()}
         idems = [part for eps in idems for part in _split(Z, Z.mul(eps, z), eps) or [eps]]
-    return [S.sparse(matmul_mod(Z.dense(eps), center_rows, m)) for eps in idems]
+    return [matmul_mod(eps, center_rows, m) for eps in idems]
 
 
 # -- block data and simple modules ------------------------------------------------
@@ -290,7 +283,7 @@ class BlockInfo:
     center_degree: int           # [Z(block) : F]
     matrix_size: Optional[int]   # d with block = M_d(D), when determined
     division_dim: Optional[int]  # dim_F D for a primitive idempotent, if found
-    idempotent: Optional[Dict[int, object]] = None   # primitive, in S coords
+    idempotent: Optional[np.ndarray] = None   # primitive, in S coords
     split: bool = False
 
 
@@ -321,9 +314,8 @@ class WedderburnReport:
         }
 
 
-def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
-                         corner: np.ndarray,
-                         seed: int = DEFAULT_SEED) -> Optional[Tuple[Dict[int, object], int]]:
+def primitive_idempotent(S: StructureAlgebra, eps: np.ndarray, corner: np.ndarray,
+                         seed: int = DEFAULT_SEED) -> Optional[Tuple[np.ndarray, int]]:
     """Refine eps to a primitive idempotent e of eps*S*eps and return
     (e, dim e*S*e); `corner` is a basis of eps*S*eps, the independent
     rows of `S.sandwich(eps)` (of `S.right_matrix(eps)` for a central eps).
@@ -335,7 +327,7 @@ def primitive_idempotent(S: StructureAlgebra, eps: Dict[int, object],
     f = S.field
     m = f.p
     rng = random.Random(seed)
-    e = dict(eps)
+    e = eps
     guard = 0
     while guard < 200:
         guard += 1
@@ -389,7 +381,7 @@ def wedderburn(A: StructureAlgebra, rad_rows: np.ndarray,
     caveats = []
     for eps in idems:
         R = S.right_matrix(eps)   # the sandwich L_eps R_eps, eps being central
-        if not np.array_equal(matmul_mod(S.dense(eps), R, f.p), S.dense(eps)):
+        if not np.array_equal(matmul_mod(eps, R, f.p), eps):
             raise AnalysisError("central idempotent candidate fails e^2 = e")
         corner = R[rank_profile(R, f)]
         bdim = len(corner)
@@ -482,7 +474,7 @@ def simple_modules(A: StructureAlgebra, report: WedderburnReport) -> List[Module
     return out
 
 
-def truncate_module(M: ModuleRep, e_coords_A: Dict[int, object]) -> ModuleRep:
+def truncate_module(M: ModuleRep, e_coords_A) -> ModuleRep:
     """The image M e, over the same quotient: the echelon basis of the rows
     (action of e) . M.rows, in S's coordinates."""
     image = matmul_mod(M.action_matrix(e_coords_A), M.rows, M.field.p)
@@ -501,8 +493,7 @@ class FunctorReport:
 
 
 def functor_grading_check(corner: StructureAlgebra, simples: List[ModuleRep],
-                          e_coords: Dict[int, object],
-                          seed: int = DEFAULT_SEED) -> FunctorReport:
+                          e_coords: np.ndarray, seed: int = DEFAULT_SEED) -> FunctorReport:
     """Apply M -> M e to every simple and test the image against the
     corner's own block data (central character + dimension)."""
     crep = wedderburn(corner, radical(corner), seed=seed)
@@ -528,7 +519,7 @@ def _corner_module_is_simple(T: ModuleRep, corner: StructureAlgebra,
     cquot = crep._quotient
     lift = corner.meta["parent_rows"][cquot.complement]
     hits = [info for info, eps in zip(crep.block_info, crep._central_idempotents)
-            if T.action_matrix(matmul_mod(cquot.S.dense(eps), lift, m)).any()]
+            if T.action_matrix(matmul_mod(eps, lift, m)).any()]
     if len(hits) != 1:
         return False
     info = hits[0]

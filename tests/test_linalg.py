@@ -230,6 +230,18 @@ def test_rowbasis_coords_of_a_matrix(field):
     w = _random_matrix(rng, field, 1, n)
     assert _to_sympy(rows + w, n, field).rank() == k + 1
     assert basis.coords(V[:2] + w + V[2:]) is None
+    # a residual modulo the span is taken row by row: zero but on w's row
+    span = EchelonSpan(field, n, rows)
+    W = V[:2] + w + V[2:]
+    residual = span.reduce(W).tolist()
+    assert residual == [span.reduce(row).tolist() for row in W]
+    assert [any(row) for row in residual] == [False, False, True, False, False, False]
+    # w minus its residual lies in the span, and the residual is zero at every pivot
+    assert basis.coords([field.sub(a, b) for a, b in zip(w[0], residual[2])]) is not None
+    assert not any(residual[2][j] for j in span.pivots)
+    assert EchelonSpan(field, n).reduce(W).tolist() == W
+    if field == QQ:
+        assert all(type(c) is Fraction for row in residual for c in row)
     empty = RowBasis([], field)
     assert empty.coords(np.zeros((0, n), dtype=object)).tolist() == []
     assert empty.coords([[field.zero()] * n] * 2).tolist() == [[], []]
