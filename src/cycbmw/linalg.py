@@ -94,6 +94,46 @@ def scatter_add(index, values, size: int, m: int) -> np.ndarray:
     return reduce_mod(out, m)
 
 
+def runs(start: np.ndarray, rows: np.ndarray):
+    """(positions, lengths): the runs start[r]:start[r+1] of every r in
+    `rows`, concatenated, and the length of each run."""
+    lo, n = start[rows], start[rows + 1] - start[rows]
+    # position t of row r's run is lo[r] + t: offsets within the
+    # concatenated runs, shifted by each run's start
+    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), n
+
+
+def sum_by_key(keys: np.ndarray, terms: np.ndarray, m: int):
+    """(keys, sums): the distinct keys in ascending order and the sum of the
+    terms at each, reduced mod m, the keys whose sum is 0 dropped: one sort
+    and one `reduceat`.  The caller bounds each sum below 2^63."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    first = new.nonzero()[0]
+    sums = reduce_mod(np.add.reduceat(terms[order], first), m)
+    nz = sums.nonzero()[0]
+    return keys[first[nz]], sums[nz]
+
+
+def sparse_times(rows, cols, vals, csr, width: int, m: int):
+    """The sparse matrix with the entries `vals` at (rows, cols), rows in
+    ascending order, times the matrix csr = (start, bcols, bvals), whose
+    row r holds bvals[t] at column bcols[t] < width for t in
+    start[r]:start[r+1]: the product's nonzero entries as (rows, cols,
+    vals) in (row, column) order.  One gather and one sum: entry (i, j, c)
+    meets row j, and the terms with equal (i, k) are added
+    (`sum_by_key`).  Over GF(p) each term is reduced before the sum; over
+    Q (m = 0) the values are integer numerators, and so are the sums: the
+    caller keeps the denominators."""
+    start, bcols, bvals = csr
+    pos, n = runs(start, cols)
+    keys, sums = sum_by_key(np.repeat(rows, n) * width + bcols[pos],
+                            reduce_mod(np.repeat(vals, n) * bvals[pos], m), m)
+    return keys // width, keys % width, sums
+
+
 def _scalar(x):
     """A numpy scalar as the Python value the field kernels expect."""
     return x.item() if isinstance(x, np.generic) else x
@@ -158,14 +198,21 @@ class EchelonSpan:
 
     def reduce(self, v) -> np.ndarray:
         """Residual of v modulo the span, as a new array: v - v[pivots].rows,
-        zero at every pivot; a matrix v is reduced row by row.  Over Q it is
-        (N_v d_r - N_v[pivots] N_r) / (d_v d_r) on the integer numerators."""
+        zero at every pivot; a matrix v is reduced row by row."""
+        return self.residual(as_array(v, self.field.p), slice(None))
+
+    def residual(self, v: np.ndarray, cols) -> np.ndarray:
+        """Columns `cols` of the residual of v, a reduced array, modulo the
+        span: v[..., cols] - v[..., pivots].rows[:, cols], as a new array, v
+        neither coerced nor copied first.  Over Q it is
+        (N_v[..., cols] d_r - N_v[..., pivots] N_r) / (d_v d_r) on the
+        integer numerators."""
         m = self.field.p
-        v = as_array(v, m)
+        rows = self.rows[:, cols]
         if not m:
-            (nv, dv), (nr, dr) = fraction_free(v), fraction_free(self.rows)
-            return from_fraction_free(nv * dr - nv[..., self.pivots] @ nr, dv * dr)
-        return reduce_mod(v - matmul_mod(v[..., self.pivots], self.rows, m), m)
+            (nv, dv), (nr, dr) = fraction_free(v), fraction_free(rows)
+            return from_fraction_free(nv[..., cols] * dr - nv[..., self.pivots] @ nr, dv * dr)
+        return reduce_mod(v[..., cols] - matmul_mod(v[..., self.pivots], rows, m), m)
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the dimension grew."""

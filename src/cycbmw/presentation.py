@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import Field
 from .linalg import (EchelonSpan, RowBasis, as_array, fraction_free, from_fraction_free,
-                     matmul_mod, reduce_mod, scatter_add, zeros)
+                     matmul_mod, reduce_mod, runs, scatter_add, zeros)
 from .params import ParameterSet, omega
 from .rewriting import (Basis, CompletionError, RewriteSystem, complete,
                         enumerate_irreducible_words)
@@ -221,15 +221,6 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
 
 # -- the algebra object ---------------------------------------------------------
 
-def _runs(start: np.ndarray, rows: np.ndarray):
-    """(positions, lengths): the runs start[r]:start[r+1] of every r in
-    `rows`, concatenated, and the length of each run."""
-    lo, n = start[rows], start[rows + 1] - start[rows]
-    # position t of row r's run is lo[r] + t: offsets within the
-    # concatenated runs, shifted by each run's start
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n), n
-
-
 class StructureAlgebra:
     """Finite-dimensional algebra with an explicit basis and exact products.
 
@@ -260,8 +251,8 @@ class StructureAlgebra:
     is prefix-closed (every factor of an irreducible word is irreducible),
     so b_j = b_parent(j) g for the last letter g of b_j, and column j is
     column parent(j) times the right action of g.  Only those actions
-    NF(b_k g), dim x #gens of them, are reduced, each once, by the
-    completion's verification pass (`rewriting.Basis`).  Normal forms in
+    NF(b_k g), dim x #gens of them, are reduced, each once, for the
+    completion's certificate (`rewriting.Basis`).  Normal forms in
     a confluent system are unique, so the table equals the normal forms of
     the concatenations entry for entry.
     """
@@ -362,26 +353,22 @@ class StructureAlgebra:
         """Fill the columns a word-born table lacks, in basis order."""
         if len(self._table) == self.dim:
             return
-        m, dim = self.field.p, self.dim
-        actions = []   # per generator g, row k = NF(b_k g) at start[k]:start[k + 1]
-        for rows in self.basis.actions:
-            actions.append((np.cumsum([0] + [len(row) for row in rows]),
-                            np.array([k for row in rows for k in row], dtype=np.int64),
-                            as_array([c for row in rows for c in row.values()], m)))
+        m, dim, basis = self.field.p, self.dim, self.basis
         for w in self.words[len(self._table):]:
             if not w:
                 unit = np.arange(dim)
                 self._table.append((unit, unit, as_array([self.field.one()] * dim, m)))
                 continue
-            # column parent(j) times the action of g: gather, then add up
-            # the terms with equal (i, k)
+            # column parent(j) times the action of g (`Basis.act`); over Q
+            # on the integer numerators of the column over their common
+            # denominator
             I, K, C = self._table[self.word_index[w[:-1]]]
-            start, AK, AC = actions[w[-1]]
-            pos, n = _runs(start, K)
-            keys, slot = np.unique(np.repeat(I, n) * dim + AK[pos], return_inverse=True)
-            sums = scatter_add(slot, reduce_mod(np.repeat(C, n) * AC[pos], m), len(keys), m)
-            nz = np.flatnonzero(sums)
-            self._table.append((keys[nz] // dim, keys[nz] % dim, sums[nz]))
+            if m:
+                self._table.append(basis.act(I, K, C, w[-1]))
+            else:
+                N, d = fraction_free(C)
+                I, K, N = basis.act(I, K, N, w[-1])
+                self._table.append((I, K, from_fraction_free(N, d * basis.denominator)))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -441,7 +428,7 @@ class StructureAlgebra:
         """The product a b, a new vector."""
         I, J, K, _, colstart = self.structure_constants()
         va, vb = self.dense(a), self.dense(b)
-        sel = _runs(colstart, np.flatnonzero(vb))[0]
+        sel = runs(colstart, np.flatnonzero(vb))[0]
         sel = sel[va.astype(bool)[I[sel]]]
         return self._gather(sel, [(va, I[sel]), (vb, J[sel])], K[sel], self.dim)
 
@@ -449,7 +436,7 @@ class StructureAlgebra:
         """Matrix of right multiplication by x: row i = coordinates of b_i x."""
         I, J, K, _, colstart = self.structure_constants()
         vx = self.dense(x)
-        sel = _runs(colstart, np.flatnonzero(vx))[0]
+        sel = runs(colstart, np.flatnonzero(vx))[0]
         return self._gather(sel, [(vx, J[sel])], I[sel] * self.dim + K[sel],
                             self.dim**2).reshape(self.dim, self.dim)
 

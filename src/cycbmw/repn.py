@@ -173,8 +173,8 @@ def semisimple_quotient(A: StructureAlgebra, rad_rows: np.ndarray) -> QuotientDa
     complement = sorted(set(range(A.dim)) - set(span.pivots))
 
     def project(v) -> np.ndarray:
-        # the residual is zero at the radical's pivots: keep the rest
-        return span.reduce(A.dense(v))[..., complement]
+        # the residual is zero at the radical's pivots: compute the rest
+        return span.residual(A.dense(v), complement)
 
     # column b: row i = complement[a] of R_{b_j}, j = complement[b], is b_i b_j
     columns = [project(A.right_matrix({j: f.one()})[complement]) for j in complement]

@@ -4,9 +4,9 @@ Words are `bytes` over a finite alphabet of generator ids; elements are
 sparse dicts word -> raw field coefficient.  While an element is summed
 it holds raw, unreduced sums, each reduced once when complete: by
 `Field.lincomb`, and in `RewriteSystem.reduce` when its word is popped.
-The monomial order is
-degree-lex: compare length first, then the byte string (so generator
-precedence is the numeric order of the ids, ties broken left to right).
+The monomial order is degree-lex: compare length first, then the byte
+string (so generator precedence is the numeric order of the ids, ties
+broken left to right).
 
 Completion is the Knuth-Bendix / Buchberger-Mora loop for two-sided
 ideals: orient equations into rules whose right-hand sides are strictly
@@ -17,26 +17,19 @@ skips a composite overlap, one whose word has a redex strictly inside:
 only prime superpositions need be considered (Kapur, Musser & Narendran
 1988).  With reduced rules that redex straddles the junction, and the two
 smaller overlaps it forms were resolved first, because ambiguities are
-popped smallest word first.  On success a final verification pass
-re-checks every overlap of the finished system, skipped or not, so the
-diamond lemma (Bergman 1978) applies unconditionally and never rests on
-the criterion: the irreducible words form an exact basis of the quotient.
-
-The verification walks each overlap through the basis' right actions.
-When the irreducible words are finite at the cap, the right action
-NF(b_k g) of each letter g on each basis word b_k is reduced once
-(`Basis`), and the two sides of an overlap a + b[ov:], (rhs of a) tail
-and head (rhs of b), are walked letter by letter through those rows.
-This is sound.  In a reduced system with canonical right-hand sides the
-head (a proper prefix of a), the tail (a proper suffix of b) and every
-rhs word are irreducible, so they are basis words.  A walk step replaces
-a term c b_k g by c NF(b_k g), so it lifts the chain of rewriting steps
-that reduced b_k g.  Each side is therefore joined by rewriting to its
-walked result, and equal results resolve the overlap.  When the words
-are infinite or truncated at the cap, each overlap is reduced from
-scratch instead; a finite enumeration holds every irreducible word, so
-the walk never needs a word outside it.  The words and actions stay on
-the finished system (`RewriteSystem.basis`) for the product table.
+popped smallest word first.  On success a certificate that never rests on
+the criterion proves the irreducible words W a basis of the quotient
+A = k<X>/(equations): each equation sum c_w w acts as 0 on k^W,
+sum c_w rho(w) = 0, where rho(g) is the right action NF(b_k g) of the
+letter g on the words, each reduced once (`Basis`).  W spans A (every rule
+lies in the ideal); rho factors through A (it kills the ideal's
+generators); W is prefix-closed, so e_0 rho(b) = e_b for the empty word
+b_0 and b in W, and a -> e_0 rho(a) maps A onto k^W: dim A >= |W|.  So
+every overlap resolves (Bergman 1978), and the words and actions stay on
+the system (`RewriteSystem.basis`) for the product table.  Where the
+certificate fails, or the words are infinite or truncated at the cap, each
+overlap is reduced from scratch, and those that do not resolve go back
+into the loop.
 
 Redexes are found by one compiled `re` alternation over all left-hand
 sides (deglex order, so the first match is leftmost, then shortest); it is
@@ -46,11 +39,15 @@ rebuilt lazily on the first search after a rule is added or removed.
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 import re
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
+from fractions import Fraction
+
+import numpy as np
 
 from .fields import Field
+from .linalg import as_array, dtype_for, fraction_free, reduce_mod, sparse_times, sum_by_key
 
 EMPTY = b""
 # byte complement: reverses the lex order of equal-length words
@@ -76,9 +73,7 @@ class RewriteSystem:
         self.field = field
         self.rules: dict[bytes, dict[bytes, object]] = {}
         self._matcher = None     # compiled on demand, dropped on every rule event
-        # set by `complete` when the irreducible words are finite at its cap;
-        # dropped on every rule event
-        self.basis: Basis | None = None
+        self.basis: Basis | None = None  # set by `complete`, dropped on every rule event
 
     def add_rule(self, lhs: bytes, rhs: dict):
         self.rules[lhs] = rhs
@@ -149,7 +144,9 @@ class RewriteSystem:
 class Basis:
     """The irreducible words of a finished system, in deglex order, and the
     right action of each letter on them: actions[g][k] = NF(words[k] g) as
-    {index: coeff}, each computed once.
+    {index: coeff}, each computed once, and stacked as one sparse matrix
+    `csr` = (start, cols, vals) with row g dim + k: vals reduced over GF(p),
+    integer numerators over `denominator` over Q (1 over GF(p)).
 
     The words must be every irreducible word (a finite, untruncated list).
     The actions are filled in deglex order of the word b_k g.  b_k is
@@ -176,13 +173,18 @@ class Basis:
                     row = self.field.lincomb((c, self.times(pre, w, memo))
                                              for w, c in rs.rules[redex[1]].items())
                 self.actions[g][k] = row
+        rows = [row for act in self.actions for row in act]
+        vals = as_array([c for row in rows for c in row.values()], self.field.p)
+        vals, self.denominator = (vals, 1) if self.field.p else fraction_free(vals)
+        self.csr = (np.cumsum([0] + [len(row) for row in rows]),
+                    np.array([k for row in rows for k in row], dtype=np.int64), vals)
 
     def times(self, k: int, u: bytes, memo: dict) -> dict:
         """NF(words[k] u) as {index: coeff}, walked through the actions:
         NF(b_k u) = sum_j c_j NF(b_j u[1:]) over NF(b_k u[0]) = sum_j c_j b_j.
-        `memo` keeps every (k, suffix of u) of two or more letters that it
-        passes; the result is shared with it or with the actions, not a
-        copy."""
+        `memo`, one for the whole fill of the actions, keeps every
+        (k, suffix of u) of two or more letters that it passes; the result
+        is shared with it or with the actions, not a copy."""
         if len(u) < 2:
             return self.actions[u[0]][k] if u else {k: self.one}
         key = (k, u)
@@ -193,18 +195,41 @@ class Basis:
                                                  for j, c in self.actions[u[0]][k].items())
         return out
 
+    def act(self, rows, cols, vals, g: int):
+        """The dim x dim matrix with the entries vals at (rows, cols), rows
+        ascending, times the action of g (`linalg.sparse_times`)."""
+        dim = len(self.words)
+        return sparse_times(rows, cols + g * dim, vals, self.csr, dim, self.field.p)
 
-def _finite_basis(rs: RewriteSystem, degree_cap: int):
-    """The Basis of a reduced system over the letters of its rules, or None
-    when its irreducible words are not finite at the cap."""
-    if not rs.rules:
-        return None
-    letters = 1 + max(max(w) for lhs, rhs in rs.rules.items() for w in (lhs, *rhs) if w)
-    try:
-        words = enumerate_irreducible_words(rs, letters, degree_cap)
-    except CompletionError:
-        return None
-    return Basis(rs, words, letters)
+
+def _relations_vanish(basis: Basis, equations: list) -> bool:
+    """Whether sum c_w rho(w) = 0 for every equation sum c_w w, with
+    rho(w) = rho(w[:-1]) rho(w[-1]) by `Basis.act`; a prefix's rho is kept
+    while a word still to come starts with it.  Over Q rho(w) holds numerators
+    over denominator^len(w), and each equation is scaled to integers."""
+    m, dim, den = basis.field.p, len(basis.words), basis.denominator
+    cache = {EMPTY: (np.arange(dim), np.arange(dim), np.ones(dim, dtype=dtype_for(m)))}
+    # prefix -> the number of words still to come that start with it
+    need = Counter(w[:i] for e in equations for w in e for i in range(1, len(w) + 1))
+    for e in filter(None, equations):
+        top = max(map(len, e))
+        scale = math.lcm(*(Fraction(c).denominator for c in e.values()))
+        keys, terms = [], []
+        for w, c in e.items():
+            cut = max(i for i in range(len(w) + 1) if w[:i] in cache)
+            rho = cache[w[:cut]]
+            for i in range(1, len(w) + 1):
+                if i > cut:
+                    rho = cache[w[:i]] = basis.act(*rho, w[i - 1])
+                need[w[:i]] -= 1
+                if not need[w[:i]]:
+                    del cache[w[:i]]
+            coeff = reduce_mod(int(Fraction(c) * scale * den ** (top - len(w))), m)
+            keys.append(rho[0] * dim + rho[1])
+            terms.append(reduce_mod(coeff * rho[2], m))
+        if len(sum_by_key(np.concatenate(keys), np.concatenate(terms), m)[0]):
+            return False
+    return True
 
 
 def _overlaps(a: bytes, b: bytes):
@@ -230,6 +255,12 @@ def _overlap_triples(lhss: list):
             yield a, lhss[pos], ov
 
 
+def _overlap_count(lhss: list) -> int:
+    """The number of `_overlap_triples(lhss)`, read off its index as counts."""
+    starting = Counter(b[:ov] for b in lhss for ov in range(1, len(b)))
+    return sum(starting[a[-ov:]] for a in lhss for ov in range(1, len(a)))
+
+
 def _s_element(rs: RewriteSystem, a: bytes, b: bytes, ov: int) -> dict:
     """The ambiguity word a + b[ov:] rewritten two ways: (rhs a) tail - head (rhs b)."""
     tail, head = b[ov:], a[:len(a) - ov]
@@ -237,27 +268,12 @@ def _s_element(rs: RewriteSystem, a: bytes, b: bytes, ov: int) -> dict:
                              (-1, {head + w: c for w, c in rs.rules[b].items()})))
 
 
-def overlap_differences(rs: RewriteSystem, basis: Basis | None = None):
+def overlap_differences(rs: RewriteSystem):
     """Yield (a, b, ov, d) for every overlap of the rules, in deglex order
-    of (a, b): d is the difference of the overlap's two sides, as an
-    element on words, after reduction; the overlap resolves iff d = {}.
-
-    With a Basis of the (reduced, canonical) system, both sides are walked
-    through its actions, sharing one memo over (k, suffix) that lives as
-    long as the generator; without one, each S-element is reduced.
-    """
-    pairs = _overlap_triples(sorted(rs.rules, key=deglex_key))
-    if basis is None:
-        for a, b, ov in pairs:
-            yield a, b, ov, rs.reduce(_s_element(rs, a, b, ov))
-        return
-    index, words, memo = basis.index, basis.words, {}
-    for a, b, ov in pairs:
-        tail, head = b[ov:], index[a[:len(a) - ov]]
-        left = ((c, basis.times(index[w], tail, memo)) for w, c in rs.rules[a].items())
-        right = ((-c, basis.times(head, w, memo)) for w, c in rs.rules[b].items())
-        d = rs.field.lincomb(itertools.chain(left, right))
-        yield a, b, ov, {words[i]: c for i, c in d.items()}
+    of (a, b): d is the overlap's S-element after reduction, an element on
+    words; the overlap resolves iff d = {}."""
+    for a, b, ov in _overlap_triples(sorted(rs.rules, key=deglex_key)):
+        yield a, b, ov, rs.reduce(_s_element(rs, a, b, ov))
 
 
 def _interior_redex(rs: RewriteSystem, w: bytes) -> bool:
@@ -276,15 +292,7 @@ class CompletionStats:
         self.passes = 0
 
     def as_dict(self):
-        return {
-            "rules_added": self.rules_added,
-            "rules_removed": self.rules_removed,
-            "ambiguities_checked": self.ambiguities_checked,
-            "ambiguities_pruned": self.ambiguities_pruned,
-            "verification_ambiguities": self.verification_ambiguities,
-            "max_rule_degree": self.max_rule_degree,
-            "passes": self.passes,
-        }
+        return dict(vars(self))
 
 
 def complete(equations, field: Field, degree_cap: int,
@@ -297,34 +305,26 @@ def complete(equations, field: Field, degree_cap: int,
 
     The main loop skips an ambiguity whose word has a redex strictly
     inside: with reduced rules and a smallest-first heap, the two smaller
-    overlaps that redex forms were resolved first.  The verification pass
-    still checks every overlap and sends its failures back into the loop.
-
-    It checks them through the basis' right actions when the irreducible
-    words over the letters of the rules are finite at `degree_cap`: the
-    head, the tail and every rhs word of an overlap are basis words of the
-    reduced system, and each walk step lifts the rewriting chain that
-    reduced NF(b_k g), so equal walked sides prove the overlap joinable
-    (see the module docstring).  Otherwise -- words infinite or truncated
-    at the cap -- it reduces each overlap's S-element from scratch.  On
-    success the words and actions are left on the system as `rs.basis`
-    (None in the fallback case).
+    overlaps that redex forms were resolved first.  Each pass ends with
+    the certificate of the module docstring, over the letters of the
+    equations, or its fallback; on success the words and actions are left
+    on the system as `rs.basis` (None after the fallback).
+    `verification_ambiguities` counts each pass's overlaps either way.
     """
+    equations = [dict(e) for e in equations]
+    letters = 1 + max((max(w) for e in equations for w in e if w), default=-1)
     rs = RewriteSystem(field)
     stats = CompletionStats()
-    pending = deque(dict(e) for e in equations)
+    pending = deque(equations)
     # ambiguity heap ordered by the overlap word, smallest first
     amb: list = []
 
     def queue_overlaps(lhs: bytes):
+        # the heap pops in the order of its whole tuples, whatever the pushes' order
         for other in rs.rules:
-            for ov in _overlaps(lhs, other):
-                w = lhs + other[ov:]
-                heapq.heappush(amb, (deglex_key(w), lhs, other, ov))
-            if other != lhs:
-                for ov in _overlaps(other, lhs):
-                    w = other + lhs[ov:]
-                    heapq.heappush(amb, (deglex_key(w), other, lhs, ov))
+            for a, b in {(lhs, other), (other, lhs)}:
+                for ov in _overlaps(a, b):
+                    heapq.heappush(amb, (deglex_key(a + b[ov:]), a, b, ov))
 
     def orient(elem):
         elem = rs.reduce(elem)
@@ -332,9 +332,8 @@ def complete(equations, field: Field, degree_cap: int,
             return
         lead = max(elem, key=deglex_key)
         if lead == EMPTY:
-            raise CompletionError(
-                "the relations force 1 = 0: the quotient is the zero algebra",
-                stats)
+            raise CompletionError("the relations force 1 = 0: the quotient is the zero algebra",
+                                  stats)
         if len(lead) > degree_cap:
             raise CompletionError(
                 f"completion needs a rule of degree {len(lead)} > cap {degree_cap}; "
@@ -371,20 +370,20 @@ def complete(equations, field: Field, degree_cap: int,
                 if s:
                     pending.append(s)
         # canonicalize right-hand sides against the final rules
-        for lhs in list(rs.rules):
-            rhs = rs.rules[lhs]
-            red = rs.reduce(dict(rhs))
-            if red != rhs:
+        for lhs, rhs in list(rs.rules.items()):
+            if (red := rs.reduce(rhs)) != rhs:
                 rs.rules[lhs] = red
-        # verification: every overlap of the finished system must resolve
-        basis = _finite_basis(rs, degree_cap)
-        failures = []
-        for _, _, _, s in overlap_differences(rs, basis):
-            stats.verification_ambiguities += 1
-            if s:
-                failures.append(s)
-        if not failures:
+        stats.verification_ambiguities += _overlap_count(sorted(rs.rules, key=deglex_key))
+        try:   # no Basis when the words are not finite at the cap
+            basis = rs.rules and Basis(rs, enumerate_irreducible_words(rs, letters, degree_cap),
+                                       letters)
+        except CompletionError:
+            basis = None
+        if basis and _relations_vanish(basis, equations):
             rs.basis = basis
+            return rs, stats
+        failures = [d for *_, d in overlap_differences(rs) if d]
+        if not failures:
             return rs, stats
         pending.extend(failures)
 

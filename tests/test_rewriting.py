@@ -2,6 +2,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from test_fields import DETERMINISTIC
@@ -9,7 +10,8 @@ from test_fields import DETERMINISTIC
 from cycbmw import rewriting
 from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
-from cycbmw.params import ParameterSet
+from cycbmw.linalg import dtype_for, reduce_mod
+from cycbmw.params import ParameterSet, admissible_rho
 from cycbmw.presentation import (canonical_relations, default_degree_cap,
                                  select_orientation13)
 from cycbmw.rewriting import (Basis, CompletionError, RewriteSystem, complete,
@@ -171,18 +173,19 @@ def test_verification_pass_certifies_when_every_pair_is_skipped(case, monkeypatc
     assert stats.passes > 1
 
 
-# -- verification through the basis' right actions ----------------------------------
+# -- the certificate: the relations act as 0 on the basis ------------------------------
 
 @pytest.mark.parametrize("case", sorted(SYSTEMS))
 def test_walk_and_reduction_resolve_every_overlap(case):
+    # every relation, walked through the basis' right actions, acts as 0,
+    # and reducing each overlap of the same system finds no failure either
     eqs, field, cap = SYSTEMS[case]()
     rs, stats = complete(eqs, field, cap)
     assert rs.basis is not None
-    walked = list(overlap_differences(rs, rs.basis))
+    assert rewriting._relations_vanish(rs.basis, eqs)
     reduced = list(overlap_differences(rs))
-    assert [t[:3] for t in walked] == [t[:3] for t in reduced]
-    assert len(walked) == stats.verification_ambiguities
-    assert not any(t[3] for t in walked) and not any(t[3] for t in reduced)
+    assert len(reduced) == stats.verification_ambiguities
+    assert not any(t[3] for t in reduced)
 
 
 def pairwise_overlaps(rs):
@@ -195,26 +198,72 @@ def pairwise_overlaps(rs):
 def test_overlap_index_matches_pairwise_enumeration(case):
     eqs, field, cap = SYSTEMS[case]()
     rs, stats = complete(eqs, field, cap)
-    triples = list(rewriting._overlap_triples(sorted(rs.rules, key=deglex_key)))
+    lhss = sorted(rs.rules, key=deglex_key)
+    triples = list(rewriting._overlap_triples(lhss))
     assert triples == pairwise_overlaps(rs)
-    assert len(triples) == stats.verification_ambiguities
+    # the overlaps are counted from the prefix index, never walked
+    assert rewriting._overlap_count(lhss) == len(triples) == stats.verification_ambiguities
 
 
-def test_walk_flags_the_overlaps_reduction_flags():
-    # dropping one rhs term breaks confluence: the walk, through the actions
-    # of the broken rules, must fail on exactly the overlaps reduction fails on
-    eqs, field, cap = SYSTEMS["gf101_b13"]()
-    rs, _ = complete(eqs, field, cap)
+def _drop_one_rhs_term(rs):
+    """The rules of rs with the largest rhs word of its longest rhs dropped."""
     lhs = max(rs.rules, key=lambda L: (len(rs.rules[L]), deglex_key(L)))
     dropped = max(rs.rules[lhs], key=deglex_key)
-    broken = RewriteSystem(field)
+    broken = RewriteSystem(rs.field)
     for L, rhs in rs.rules.items():
         broken.add_rule(L, {w: c for w, c in rhs.items() if (L, w) != (lhs, dropped)})
+    return broken
+
+
+def test_broken_rule_fails_the_certificate_and_complete_falls_back(monkeypatch):
+    # dropping one rhs term breaks confluence: the relations no longer act
+    # as 0 through the broken rules' actions, and reduction fails overlaps
+    eqs, field, cap = SYSTEMS["gf101_b13"]()
+    rs, _ = complete(eqs, field, cap)
+    broken = _drop_one_rhs_term(rs)
     basis = Basis(broken, rs.basis.words, len(rs.basis.actions))
-    walked = [(a, b, ov, bool(d)) for a, b, ov, d in overlap_differences(broken, basis)]
-    reduced = [(a, b, ov, bool(d)) for a, b, ov, d in overlap_differences(broken)]
-    assert walked == reduced
-    assert 0 < sum(t[3] for t in walked) < len(walked)
+    assert not rewriting._relations_vanish(basis, eqs)
+    failed = [bool(t[3]) for t in overlap_differences(broken)]
+    assert 0 < sum(failed) < len(failed)
+    # complete, its certificate run on that basis, reduces every overlap of
+    # its own system instead, finds them resolved and keeps no basis
+    reduced = []
+    vanish, differences = rewriting._relations_vanish, rewriting.overlap_differences
+    monkeypatch.setattr(rewriting, "_relations_vanish", lambda _, eqs: vanish(basis, eqs))
+    monkeypatch.setattr(rewriting, "overlap_differences",
+                        lambda system: reduced.append(system) or differences(system))
+    ref, stats = complete(eqs, field, cap)
+    assert reduced == [ref] and ref.basis is None and stats.passes == 1
+    assert ref.rules == rs.rules
+
+
+def _admissible(field, r):
+    # q = 1/2: over GF(p), residues spread over the whole range
+    q = field(2).inv()
+    u = [(q * q) ** (1 + 4 * i) for i in range(r)]
+    return ParameterSet(field, q, admissible_rho(q, u), u, admissible=True)
+
+
+# the largest prime whose residues take the int64 paths of `linalg`
+_INT64_TOP = 3_037_000_493
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2**31 - 1), GF(2**61 - 1), GF(_INT64_TOP), QQ],
+                         ids=["p101", "p2^31-1", "p2^61-1", "p3037000493", "Q"])
+def test_changed_action_entry_fails_the_certificate(field):
+    assert dtype_for(_INT64_TOP) is np.int64 and dtype_for(_INT64_TOP + 8) is object
+    eqs, _, cap = _presentation(2, _admissible(field, 2))
+    rs, _ = complete(eqs, field, cap)
+    basis = rs.basis
+    assert basis is not None and rewriting._relations_vanish(basis, eqs)
+    start, cols, vals = basis.csr
+    for t in range(0, len(vals), 7):
+        changed = vals.copy()
+        changed[t] = reduce_mod(changed[t] + 1, field.p)
+        basis.csr = (start, cols, changed)
+        assert not rewriting._relations_vanish(basis, eqs), t
+    basis.csr = (start, cols, vals)
+    assert rewriting._relations_vanish(basis, eqs)
 
 
 _X, _Y = b"\x00", b"\x01"
