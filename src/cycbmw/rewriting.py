@@ -31,17 +31,19 @@ certificate fails, or the words are infinite or truncated at the cap, each
 overlap is reduced from scratch, and those that do not resolve go back
 into the loop.
 
-Redexes are found by one compiled `re` alternation over all left-hand
-sides (deglex order, so the first match is leftmost, then shortest); it is
-rebuilt lazily on the first search after a rule is added or removed.
+Redexes and overlaps are found through one index of the left-hand sides,
+kept by `add_rule` and `remove_rule`: each proper prefix maps to the lhss
+that start with it (`starting`), each proper suffix to those that end with
+it (`ending`).  A redex search grows a factor from each start while it is
+such a prefix; a new lhs overlaps the lhss that start with one of its
+suffixes or end with one of its prefixes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import re
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -72,30 +74,62 @@ class RewriteSystem:
     def __init__(self, field: Field):
         self.field = field
         self.rules: dict[bytes, dict[bytes, object]] = {}
-        self._matcher = None     # compiled on demand, dropped on every rule event
+        # proper prefix / proper suffix -> the lhss starting / ending with it;
+        # a key whose set empties is deleted
+        self.starting: dict[bytes, set] = {}
+        self.ending: dict[bytes, set] = {}
         self.basis: Basis | None = None  # set by `complete`, dropped on every rule event
 
+    def _keys(self, lhs: bytes):
+        """(index, key) for each proper prefix and proper suffix of lhs."""
+        for i in range(1, len(lhs)):
+            yield self.starting, lhs[:i]
+            yield self.ending, lhs[i:]
+
     def add_rule(self, lhs: bytes, rhs: dict):
+        for index, key in self._keys(lhs):
+            index.setdefault(key, set()).add(lhs)
         self.rules[lhs] = rhs
-        self._matcher = self.basis = None
+        self.basis = None
 
     def remove_rule(self, lhs: bytes):
         del self.rules[lhs]
-        self._matcher = self.basis = None
+        for index, key in self._keys(lhs):
+            index[key].discard(lhs)
+            if not index[key]:
+                del index[key]
+        self.basis = None
 
     def find_redex(self, w: bytes):
         """Leftmost (then shortest) match: (position, lhs) or None.
 
-        One `re` alternation of every lhs in deglex order: `re` tries
-        positions left to right and alternatives in order, so its first
-        match is the leftmost, then shortest, lhs.  It is recompiled on the
-        first search after a rule event; `(?!)` (no rules) never matches.
+        From each start i, the factor w[i:j] grows until it is an lhs, or
+        until it is no proper prefix of any lhs (`starting`), so the first
+        hit is the leftmost, then shortest, lhs, on any rule set.
         """
-        if self._matcher is None:
-            alts = b"|".join(re.escape(lhs) for lhs in sorted(self.rules, key=deglex_key))
-            self._matcher = re.compile(alts or b"(?!)")
-        m = self._matcher.search(w)
-        return None if m is None else (m.start(), m.group())
+        rules, starting = self.rules, self.starting
+        n = len(w)
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                f = w[i:j]
+                if f in rules:
+                    return i, f
+                if f not in starting:
+                    break
+        return None
+
+    def redex_at_end(self, w: bytes):
+        """The longest suffix of w that is an lhs, as (position, lhs), or None:
+        `find_redex(w)` when w[:-1] is irreducible, so every redex ends at the end."""
+        rules, ending = self.rules, self.ending
+        hit = None
+        for i in range(len(w) - 1, -1, -1):
+            f = w[i:]
+            if f in rules:
+                hit = i, f
+            if f not in ending:
+                break
+        return hit
 
     def reduce(self, elem: dict) -> dict:
         """Full normal form of a sparse element.
@@ -150,7 +184,7 @@ class Basis:
 
     The words must be every irreducible word (a finite, untruncated list).
     The actions are filled in deglex order of the word b_k g.  b_k is
-    irreducible, so a redex of b_k g ends at g: b_k g = pre lhs, and
+    irreducible, so a redex of b_k g ends at g (`redex_at_end`): b_k g = pre lhs, and
     NF(b_k g) is NF(pre w) summed over the rhs words w of lhs, walked
     through the actions of words b_j h <= pre w < b_k g, filled before it.
     """
@@ -165,7 +199,7 @@ class Basis:
         for k, word in enumerate(words):
             for g in range(letters):
                 wg = word + bytes((g,))
-                redex = rs.find_redex(wg)
+                redex = rs.redex_at_end(wg)
                 if redex is None:
                     row = {index[wg]: self.one}
                 else:
@@ -232,33 +266,19 @@ def _relations_vanish(basis: Basis, equations: list) -> bool:
     return True
 
 
-def _overlaps(a: bytes, b: bytes):
-    """Proper overlaps: suffix of a == prefix of b, shorter than both."""
-    top = min(len(a), len(b))
-    for ov in range(1, top):
-        if a[-ov:] == b[:ov]:
-            yield ov
+def _overlap_triples(rs: RewriteSystem):
+    """(a, b, ov) for every proper overlap of the lhss, a then b in deglex
+    order, then ov increasing, found through the index `rs.starting`."""
+    for a in sorted(rs.rules, key=deglex_key):
+        hits = sorted((deglex_key(b), ov) for ov in range(1, len(a))
+                      for b in rs.starting.get(a[-ov:], ()))
+        for (_, b), ov in hits:
+            yield a, b, ov
 
 
-def _overlap_triples(lhss: list):
-    """(a, b, ov) for every proper overlap of the lhss, a and b in the order
-    of `lhss`, then ov increasing: the pairwise loop over `_overlaps`, found
-    through an index from each proper prefix to the lhss starting with it."""
-    starting = defaultdict(list)
-    for pos, b in enumerate(lhss):
-        for ov in range(1, len(b)):
-            starting[b[:ov]].append(pos)
-    for a in lhss:
-        hits = sorted((pos, ov) for ov in range(1, len(a))
-                      for pos in starting.get(a[-ov:], ()))
-        for pos, ov in hits:
-            yield a, lhss[pos], ov
-
-
-def _overlap_count(lhss: list) -> int:
-    """The number of `_overlap_triples(lhss)`, read off its index as counts."""
-    starting = Counter(b[:ov] for b in lhss for ov in range(1, len(b)))
-    return sum(starting[a[-ov:]] for a in lhss for ov in range(1, len(a)))
+def _overlap_count(rs: RewriteSystem) -> int:
+    """The number of `_overlap_triples(rs)`, read off the sizes of the index's sets."""
+    return sum(len(rs.starting.get(a[-ov:], ())) for a in rs.rules for ov in range(1, len(a)))
 
 
 def _s_element(rs: RewriteSystem, a: bytes, b: bytes, ov: int) -> dict:
@@ -272,7 +292,7 @@ def overlap_differences(rs: RewriteSystem):
     """Yield (a, b, ov, d) for every overlap of the rules, in deglex order
     of (a, b): d is the overlap's S-element after reduction, an element on
     words; the overlap resolves iff d = {}."""
-    for a, b, ov in _overlap_triples(sorted(rs.rules, key=deglex_key)):
+    for a, b, ov in _overlap_triples(rs):
         yield a, b, ov, rs.reduce(_s_element(rs, a, b, ov))
 
 
@@ -320,11 +340,14 @@ def complete(equations, field: Field, degree_cap: int,
     amb: list = []
 
     def queue_overlaps(lhs: bytes):
-        # the heap pops in the order of its whole tuples, whatever the pushes' order
-        for other in rs.rules:
-            for a, b in {(lhs, other), (other, lhs)}:
-                for ov in _overlaps(a, b):
-                    heapq.heappush(amb, (deglex_key(a + b[ov:]), a, b, ov))
+        # (lhs, b, ov) for every b, lhs included, and (a, lhs, ov) for every
+        # other a; the heap pops whole tuples in order, however they were pushed
+        for ov in range(1, len(lhs)):
+            for b in rs.starting.get(lhs[-ov:], ()):
+                heapq.heappush(amb, (deglex_key(lhs + b[ov:]), lhs, b, ov))
+            for a in rs.ending.get(lhs[:ov], ()):
+                if a != lhs:
+                    heapq.heappush(amb, (deglex_key(a + lhs[ov:]), a, lhs, ov))
 
     def orient(elem):
         elem = rs.reduce(elem)
@@ -373,7 +396,7 @@ def complete(equations, field: Field, degree_cap: int,
         for lhs, rhs in list(rs.rules.items()):
             if (red := rs.reduce(rhs)) != rhs:
                 rs.rules[lhs] = red
-        stats.verification_ambiguities += _overlap_count(sorted(rs.rules, key=deglex_key))
+        stats.verification_ambiguities += _overlap_count(rs)
         try:   # no Basis when the words are not finite at the cap
             basis = rs.rules and Basis(rs, enumerate_irreducible_words(rs, letters, degree_cap),
                                        letters)
@@ -408,7 +431,7 @@ def enumerate_irreducible_words(rs: RewriteSystem, alphabet_size: int,
             for g in range(alphabet_size):
                 cand = w + bytes((g,))
                 # w is irreducible, so any redex of cand ends at the new letter
-                if rs.find_redex(cand) is None:
+                if rs.redex_at_end(cand) is None:
                     nxt.append(cand)
         level = nxt
         words.extend(level)

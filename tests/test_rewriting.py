@@ -188,21 +188,25 @@ def test_walk_and_reduction_resolve_every_overlap(case):
     assert not any(t[3] for t in reduced)
 
 
+def _overlaps(a: bytes, b: bytes):
+    """Proper overlaps: suffix of a == prefix of b, shorter than both."""
+    return [ov for ov in range(1, min(len(a), len(b))) if a[-ov:] == b[:ov]]
+
+
 def pairwise_overlaps(rs):
     """Every (a, b, ov) of the rules by testing each ordered pair of lhss."""
     lhss = sorted(rs.rules, key=deglex_key)
-    return [(a, b, ov) for a in lhss for b in lhss for ov in rewriting._overlaps(a, b)]
+    return [(a, b, ov) for a in lhss for b in lhss for ov in _overlaps(a, b)]
 
 
 @pytest.mark.parametrize("case", sorted(SYSTEMS))
 def test_overlap_index_matches_pairwise_enumeration(case):
     eqs, field, cap = SYSTEMS[case]()
     rs, stats = complete(eqs, field, cap)
-    lhss = sorted(rs.rules, key=deglex_key)
-    triples = list(rewriting._overlap_triples(lhss))
+    triples = list(rewriting._overlap_triples(rs))
     assert triples == pairwise_overlaps(rs)
     # the overlaps are counted from the prefix index, never walked
-    assert rewriting._overlap_count(lhss) == len(triples) == stats.verification_ambiguities
+    assert rewriting._overlap_count(rs) == len(triples) == stats.verification_ambiguities
 
 
 def _drop_one_rhs_term(rs):
@@ -343,6 +347,17 @@ def _assert_redexes_match(rs, words):
         assert rs.find_redex(w) == _brute_redex(rs.rules, w), (sorted(rs.rules), w)
 
 
+def _assert_index_matches_rules(rs):
+    """`starting`/`ending` equal a rebuild from the lhss and hold no empty set."""
+    starting, ending = {}, {}
+    for lhs in rs.rules:
+        for i in range(1, len(lhs)):
+            starting.setdefault(lhs[:i], set()).add(lhs)
+            ending.setdefault(lhs[i:], set()).add(lhs)
+    assert rs.starting == starting and rs.ending == ending
+    assert all(rs.starting.values()) and all(rs.ending.values())
+
+
 @pytest.mark.parametrize("alphabet", [_META_ALPHABET, bytes(range(256)), b"\x00\x01"],
                          ids=["metachars", "all-bytes", "binary"])
 def test_find_redex_matches_brute_force(alphabet):
@@ -353,6 +368,32 @@ def test_find_redex_matches_brute_force(alphabet):
         for lhs in lhss:
             rs.add_rule(lhs, {})
         _assert_redexes_match(rs, _probe_words(rng, alphabet, lhss))
+
+
+def _irreducible_prefix(rs, w):
+    """The longest prefix of w with no redex."""
+    return next(w[:i] for i in range(len(w), -1, -1) if _brute_redex(rs.rules, w[:i]) is None)
+
+
+@pytest.mark.parametrize("alphabet", [_META_ALPHABET, bytes(range(256)), b"\x00\x01"],
+                         ids=["metachars", "all-bytes", "binary"])
+def test_redex_at_end_matches_brute_force(alphabet):
+    # on w + g with w irreducible every redex ends at g: the leftmost one
+    rng = random.Random(len(alphabet) + 1)
+    hits = 0
+    for _ in range(150):
+        lhss = _random_lhs_set(rng, alphabet)
+        rs = RewriteSystem(GF(101))
+        for lhs in lhss:
+            rs.add_rule(lhs, {})
+        for w in _probe_words(rng, alphabet, lhss):
+            w = _irreducible_prefix(rs, w)
+            for g in {rng.choice(alphabet), *(lhs[-1] for lhs in lhss)}:
+                wg = w + bytes((g,))
+                expected = _brute_redex(rs.rules, wg)
+                assert rs.redex_at_end(wg) == expected, (sorted(rs.rules), wg)
+                hits += expected is not None
+    assert hits
 
 
 def test_find_redex_empty_rule_set_never_matches():
@@ -379,6 +420,23 @@ def test_find_redex_follows_rule_events():
         else:
             rs.add_rule(lhs, {})
         _assert_redexes_match(rs, _probe_words(rng, alphabet, pool))
+        _assert_index_matches_rules(rs)
+    assert rs.rules and len(rs.rules) < len(pool)
+
+
+def test_add_rule_on_a_present_lhs_keeps_the_index():
+    rs = RewriteSystem(GF(101))
+    for lhs in (b"abc", b"bcd", b"cab"):
+        rs.add_rule(lhs, {b"a": 1})
+    starting = {k: set(v) for k, v in rs.starting.items()}
+    ending = {k: set(v) for k, v in rs.ending.items()}
+    rs.add_rule(b"bcd", {b"b": 2})
+    assert rs.rules[b"bcd"] == {b"b": 2}
+    assert rs.starting == starting and rs.ending == ending
+    _assert_index_matches_rules(rs)
+    rs.remove_rule(b"bcd")
+    _assert_index_matches_rules(rs)
+    assert b"bc" not in rs.starting and b"cd" not in rs.ending and b"bc" in rs.ending
 
 
 # -- normal forms on random rewrite systems -----------------------------------------
