@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from sympy.ntheory import discrete_log
+
 from .params import ParameterSet, omega_vanishing_report
 
 Partition = Tuple[int, ...]
@@ -209,12 +211,10 @@ class Multicharge:
         for uj in p.u:
             found = None
             if p.e is not None:
-                acc = p.field(1)
-                for s in range(p.e):
-                    if acc == uj:
-                        found = s
-                        break
-                    acc = acc * q2
+                try:
+                    found = discrete_log(p.field.p, uj.value, q2.value)
+                except ValueError:   # u_j is not in the group q^2 generates
+                    pass
             else:
                 for s in range(-_CHARGE_SEARCH_BOUND, _CHARGE_SEARCH_BOUND + 1):
                     if q2**s == uj:

@@ -23,8 +23,7 @@ from .fields import Field
 from .linalg import (EchelonSpan, RowBasis, as_array, fraction_free, from_fraction_free,
                      matmul_mod, reduce_mod, runs, scatter_add, zeros)
 from .params import ParameterSet, omega
-from .rewriting import (Basis, CompletionError, RewriteSystem, complete,
-                        enumerate_irreducible_words)
+from .rewriting import Basis, CompletionError, RewriteSystem, complete
 
 
 class BuildError(ValueError):
@@ -44,6 +43,10 @@ def default_degree_cap(n: int, r: int) -> int:
 
 
 # -- generator coding ---------------------------------------------------------
+
+# generator ids are bytes, and the largest, X(n) = 2(n - 1), must be below 256
+MAX_N = 256 // 2
+
 
 def gen_count(n: int) -> int:
     return 1 if n == 1 else 2 * n - 1
@@ -127,8 +130,8 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
     variant "ariki_koike" adds e_i -> 0, which collapses the quotient onto
     the cyclotomic Hecke algebra.
     """
-    if n < 1:
-        raise BuildError("n must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise BuildError(f"n = {n} is outside 1..{MAX_N}, the n whose generator ids are bytes")
     if variant not in ("bmw", "ariki_koike"):
         raise BuildError(f"unknown variant {variant!r}")
     if orientation13 not in ("x1", "x1inv"):
@@ -225,36 +228,32 @@ class StructureAlgebra:
     """Finite-dimensional algebra with an explicit basis and exact products.
 
     The product table is the sparse structure constants b_i b_j = sum_k C b_k,
-    stored once, column by column: `_table[j]` holds the arrays (I, K, C)
-    of the products b_i b_j in (i, k) order, C in the field's array dtype
-    (`linalg.dtype_for`).  `structure_constants` joins the columns into one
-    set of arrays and leaves each `_table[j]` a view of them.  `mul`,
-    `right_matrix` and `left_matrix` are each one gather-scatter over the
-    constants (`_gather`).  Over Q, C and every array the algebra hands
-    out hold reduced Fractions, but the gather multiplies integer
-    numerators: those of C over their common denominator (made once, on
-    the first gather) times those of its operands, with one Fraction made
-    per output entry.
+    stored once, column-major, by `_store`: `_table[j]` holds views of the
+    arrays (I, K, C) of the products b_i b_j in (i, k) order, C in the
+    field's array dtype (`linalg.dtype_for`).  `mul`, `right_matrix` and
+    `left_matrix` are each one gather-scatter over the constants
+    (`_gather`).  Over Q, C and every array the algebra hands out hold
+    reduced Fractions, but the gather multiplies integer numerators: those
+    of C over their common denominator (`_numerators`, made by `_store`)
+    times those of its operands, with one Fraction made per output entry.
 
     An element (the unit, a generator, what `mul`, `nf_word`, `nf_element`
     and `star` return) is a vector of length dim in that dtype; methods take
     them through `dense`, which also accepts a dict, and never write into them.
 
-    Two births: from a completed rewriting system (basis = irreducible
-    words), whose columns `materialize()` fills, or with every column
-    filled, from flat constants (`from_constants`: loaded dumps, and through
-    `from_table` product tables) or from right multiplication matrices
-    (`from_columns`: quotients, and through `from_rows` corners and the
-    center algebra).
+    Two births: from a completed rewriting system (`basis`, the irreducible
+    words), whose table `materialize()` fills on first use, or with the
+    table given, from flat constants (`from_constants`: loaded dumps, and
+    through `from_table` product tables) or from right multiplication
+    matrices (`from_columns`: quotients, and through `from_rows` corners
+    and the center algebra).
 
-    A word-born algebra never reduces a concatenation b_i b_j.  Its basis
-    is prefix-closed (every factor of an irreducible word is irreducible),
-    so b_j = b_parent(j) g for the last letter g of b_j, and column j is
-    column parent(j) times the right action of g.  Only those actions
-    NF(b_k g), dim x #gens of them, are reduced, each once, for the
-    completion's certificate (`rewriting.Basis`).  Normal forms in
-    a confluent system are unique, so the table equals the normal forms of
-    the concatenations entry for entry.
+    A word-born algebra never reduces a concatenation b_i b_j: column j of
+    its table is rho(b_j), the right action of b_j, walked by
+    `rewriting.Basis.rho` through the actions NF(b_k g), dim x #gens of
+    them, each reduced once, as the completion's certificate is.  Normal
+    forms in a confluent system are unique, so the table equals the normal
+    forms of the concatenations entry for entry.
     """
 
     def __init__(self, field: Field, dim: int, unit, labels: Optional[List[str]],
@@ -263,7 +262,7 @@ class StructureAlgebra:
         self.dim = dim
         self._unit = self.dense(unit)
         self.labels = labels or [f"b{i}" for i in range(dim)]
-        self._table: List[tuple] = []   # the filled columns (I, K, C), in order of j
+        self._table: List[tuple] = []   # the columns (I, K, C), in order of j
         self.gens = {name: self.dense(g) for name, g in (gens or {}).items()}
         self.meta = meta or {}
         self._constants = None   # sparse structure constants, see structure_constants
@@ -271,8 +270,6 @@ class StructureAlgebra:
         # word-born extras, set by from_rewriting
         self.rules: Optional[RewriteSystem] = None
         self.basis: Optional[Basis] = None
-        self.words: Optional[List[bytes]] = None
-        self.word_index: Optional[Dict[bytes, int]] = None
         self.n: Optional[int] = None
         self.params: Optional[ParameterSet] = None
         self.variant: Optional[str] = None
@@ -280,17 +277,15 @@ class StructureAlgebra:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_rewriting(cls, field: Field, rules: RewriteSystem, basis: Basis,
+    def from_rewriting(cls, field: Field, rules: RewriteSystem,
                        n: int, params: ParameterSet, variant: str, meta: dict):
-        words = basis.words
+        basis = rules.basis
         # the generator g is the action of g on the unit, words[0]
         gens = {gen_name(g, n): act[0] for g, act in enumerate(basis.actions)}
-        alg = cls(field, len(words), {0: field.one()}, [word_str(w, n) for w in words],
-                  gens=gens, meta=meta)
+        alg = cls(field, len(basis.words), {0: field.one()},
+                  [word_str(w, n) for w in basis.words], gens=gens, meta=meta)
         alg.rules = rules
         alg.basis = basis
-        alg.words = words
-        alg.word_index = basis.index
         alg.n = n
         alg.params = params
         alg.variant = variant
@@ -329,9 +324,10 @@ class StructureAlgebra:
         """The algebra whose right multiplication by b_j is the reduced array
         columns[j]: row i of it holds the coordinates of b_i b_j."""
         alg = cls(field, len(columns), unit, labels, gens=gens, meta=meta)
-        for column in columns:
-            I, K = np.nonzero(column)
-            alg._table.append((I, K, column[I, K]))
+        nonzero = [np.nonzero(column) for column in columns]
+        alg._store(np.concatenate([I for I, _ in nonzero]), np.concatenate([K for _, K in nonzero]),
+                   np.concatenate([column[I, K] for column, (I, K) in zip(columns, nonzero)]),
+                   np.cumsum([0] + [len(I) for I, _ in nonzero]))
         return alg
 
     @classmethod
@@ -350,25 +346,22 @@ class StructureAlgebra:
                                 gens=None, meta={"parent_rows": rows})
 
     def materialize(self):
-        """Fill the columns a word-born table lacks, in basis order."""
-        if len(self._table) == self.dim:
+        """Fill a word-born table: column j is rho(b_j), walked over the
+        basis words (`Basis.rho`), and the columns are stored once."""
+        if self._constants is not None:
             return
-        m, dim, basis = self.field.p, self.dim, self.basis
-        for w in self.words[len(self._table):]:
-            if not w:
-                unit = np.arange(dim)
-                self._table.append((unit, unit, as_array([self.field.one()] * dim, m)))
-                continue
-            # column parent(j) times the action of g (`Basis.act`); over Q
-            # on the integer numerators of the column over their common
-            # denominator
-            I, K, C = self._table[self.word_index[w[:-1]]]
-            if m:
-                self._table.append(basis.act(I, K, C, w[-1]))
-            else:
-                N, d = fraction_free(C)
-                I, K, N = basis.act(I, K, N, w[-1])
-                self._table.append((I, K, from_fraction_free(N, d * basis.denominator)))
+        basis, I, K, C = self.basis, [], [], []
+        for w, (rows, cols, vals) in zip(basis.words, basis.rho(basis.words)):
+            I.append(rows)
+            K.append(cols)
+            # over Q the walk's numerators lie over denominator^len(w)
+            C.append(vals if self.field.p else from_fraction_free(vals, basis.denominator**len(w)))
+        colstart = np.cumsum([0] + [len(rows) for rows in I])
+        # one array joined at a time: only its columns are held twice
+        I = np.concatenate(I)
+        K = np.concatenate(K)
+        C = np.concatenate(C)
+        self._store(I, K, C, colstart)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -383,21 +376,21 @@ class StructureAlgebra:
         """(I, J, K, C, colstart): the nonzero structure constants
         b_i b_j = sum_k C b_k as parallel arrays, column after column: the
         products b_i b_j of column j lie at colstart[j]:colstart[j+1], in
-        (i, k) order.  Joined from the full table on first use, which
-        materializes it; `_table[j]` is then a view of column j."""
+        (i, k) order.  A word-born table is filled on first use."""
         if self._constants is None:
             self.materialize()
-            I, K, C = (np.concatenate(parts) for parts in zip(*self._table))
-            self._store(I, K, C, np.cumsum([0] + [len(col[0]) for col in self._table]))
         return self._constants
 
     def _store(self, I, K, C, colstart):
         """Keep the column-major constants, column j at colstart[j]:colstart[j+1],
-        as the one table: `_table[j]` becomes a view of column j (releasing
-        filled columns before J is made keeps the peak down)."""
+        as the one table: `_table[j]` is a view of column j.  Over Q the
+        numerators of C over their common denominator are made here, for
+        `_gather`."""
         self._table = [(I[a:b], K[a:b], C[a:b]) for a, b in zip(colstart, colstart[1:])]
         J = np.repeat(np.arange(self.dim), np.diff(colstart))
         self._constants = (I, J, K, C, colstart)
+        if not self.field.p:
+            self._numerators = fraction_free(C)
 
     def _gather(self, sel: np.ndarray, factors: list, slots: np.ndarray,
                 size: int) -> np.ndarray:
@@ -413,8 +406,6 @@ class StructureAlgebra:
             for v, pos in factors:
                 vals = v[pos] * vals if once else reduce_mod(v[pos] * vals, m)
             return scatter_add(slots, vals, size, m)
-        if self._numerators is None:
-            self._numerators = fraction_free(self.structure_constants()[3])
         vals, d = self._numerators
         vals = vals[sel]
         for v, pos in factors:
@@ -486,7 +477,7 @@ class StructureAlgebra:
         """NF of a word-keyed element {word: raw coefficient}."""
         self._need_words()
         red = self.rules.reduce(elem)
-        return self.dense({self.word_index[v]: c for v, c in red.items()})
+        return self.dense({self.basis.index[v]: c for v, c in red.items()})
 
     def star(self, x) -> np.ndarray:
         """The anti-involution fixing every generator: reverse words, reduce."""
@@ -495,7 +486,7 @@ class StructureAlgebra:
         nz = np.flatnonzero(v)
         # reversal is one-to-one on words: no two terms meet; Python scalars,
         # as `reduce` sums raw products, which would overflow in int64
-        return self.nf_element({self.words[i][::-1]: c
+        return self.nf_element({self.basis.words[i][::-1]: c
                                 for i, c in zip(nz.tolist(), v[nz].tolist())})
 
 
@@ -566,8 +557,8 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
                   degree_cap: Optional[int] = None,
                   orientation13: Optional[str] = None) -> StructureAlgebra:
     """Complete the presentation and return the finite-dimensional quotient."""
-    if n < 1:
-        raise BuildError("n must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise BuildError(f"n = {n} is outside 1..{MAX_N}, the n whose generator ids are bytes")
     cap = degree_cap if degree_cap is not None else default_degree_cap(n, p.r)
     if orientation13 is None:
         orientation13 = "x1" if n == 1 else select_orientation13(p, variant=variant)
@@ -578,15 +569,15 @@ def build_algebra(n: int, p: ParameterSet, variant: str = "bmw",
         eqs = canonical_relations(n, p, variant=variant, orientation13=orientation13)
         rules, stats = complete(eqs, p.field, cap)
         completion = stats.as_dict()
-    # completion leaves the basis on its system when the words are finite at
-    # the cap; otherwise the enumeration raises
-    basis = rules.basis or Basis(rules, enumerate_irreducible_words(rules, gen_count(n), cap),
-                                 gen_count(n))
-    alg = StructureAlgebra.from_rewriting(p.field, rules, basis, n, p, variant, {
+    # `complete` leaves a basis whenever the words are finite at the cap
+    if rules.basis is None:
+        raise CompletionError(f"irreducible words persist at degree {cap}; "
+                              "the quotient looks infinite-dimensional under this cap")
+    alg = StructureAlgebra.from_rewriting(p.field, rules, n, p, variant, {
         "n": n,
         "r": p.r,
         "variant": variant,
-        "dimension": len(basis.words),
+        "dimension": len(rules.basis.words),
         "relation13_orientation": orientation13,
         "relation13_note": "y_1 in the printed right clause is undefined; "
                            f"resolved by validation to {orientation13!r}",

@@ -21,15 +21,15 @@ popped smallest word first.  On success a certificate that never rests on
 the criterion proves the irreducible words W a basis of the quotient
 A = k<X>/(equations): each equation sum c_w w acts as 0 on k^W,
 sum c_w rho(w) = 0, where rho(g) is the right action NF(b_k g) of the
-letter g on the words, each reduced once (`Basis`).  W spans A (every rule
-lies in the ideal); rho factors through A (it kills the ideal's
-generators); W is prefix-closed, so e_0 rho(b) = e_b for the empty word
-b_0 and b in W, and a -> e_0 rho(a) maps A onto k^W: dim A >= |W|.  So
-every overlap resolves (Bergman 1978), and the words and actions stay on
-the system (`RewriteSystem.basis`) for the product table.  Where the
-certificate fails, or the words are infinite or truncated at the cap, each
-overlap is reduced from scratch, and those that do not resolve go back
-into the loop.
+letter g on the words, each reduced once, and rho(w) is walked letter by
+letter (`Basis.rho`).  W spans A (every rule lies in the ideal); rho
+factors through A (it kills the ideal's generators); W is prefix-closed,
+so e_0 rho(b) = e_b for the empty word b_0 and b in W, and a -> e_0 rho(a)
+maps A onto k^W: dim A >= |W|.  So every overlap resolves (Bergman 1978),
+and the words and actions stay on the system (`RewriteSystem.basis`): the
+product table is the same walk, over the words.  Where the certificate
+fails, or the words are infinite or truncated at the cap, each overlap is
+reduced from scratch, and those that do not resolve go back into the loop.
 
 Redexes and overlaps are found through one index of the left-hand sides,
 kept by `add_rule` and `remove_rule`: each proper prefix maps to the lhss
@@ -229,38 +229,47 @@ class Basis:
                                                  for j, c in self.actions[u[0]][k].items())
         return out
 
-    def act(self, rows, cols, vals, g: int):
-        """The dim x dim matrix with the entries vals at (rows, cols), rows
-        ascending, times the action of g (`linalg.sparse_times`)."""
-        dim = len(self.words)
-        return sparse_times(rows, cols + g * dim, vals, self.csr, dim, self.field.p)
+    def rho(self, words):
+        """Yield rho(w), the right action of w on k^W, for each w of the list
+        `words`, as (rows, cols, vals) in (row, column) order: rho(w) =
+        rho(w[:-1]) rho(w[-1]) (`linalg.sparse_times`), a prefix's rho kept
+        while a word still to come starts with it.  Over Q vals are integer
+        numerators over denominator^len(w)."""
+        m, dim = self.field.p, len(self.words)
+        # prefix -> the number of words still to come that start with it
+        need = Counter(w[:i] for w in words for i in range(1, len(w) + 1))
+        cache = {EMPTY: (np.arange(dim), np.arange(dim), np.ones(dim, dtype=dtype_for(m)))}
+        for w in words:
+            cut = len(w)
+            while w[:cut] not in cache:
+                cut -= 1
+            rows, cols, vals = cache[w[:cut]]
+            for i in range(cut, len(w)):
+                rows, cols, vals = cache[w[:i + 1]] = sparse_times(
+                    rows, cols + w[i] * dim, vals, self.csr, dim, m)
+            for i in range(1, len(w) + 1):
+                need[w[:i]] -= 1
+                if not need[w[:i]]:
+                    del cache[w[:i]]
+            yield rows, cols, vals
 
 
 def _relations_vanish(basis: Basis, equations: list) -> bool:
-    """Whether sum c_w rho(w) = 0 for every equation sum c_w w, with
-    rho(w) = rho(w[:-1]) rho(w[-1]) by `Basis.act`; a prefix's rho is kept
-    while a word still to come starts with it.  Over Q rho(w) holds numerators
-    over denominator^len(w), and each equation is scaled to integers."""
+    """Whether sum c_w rho(w) = 0 for every equation sum c_w w, with rho
+    walked by `Basis.rho`.  Over Q rho(w) holds numerators over
+    denominator^len(w), and each equation is scaled to integers."""
     m, dim, den = basis.field.p, len(basis.words), basis.denominator
-    cache = {EMPTY: (np.arange(dim), np.arange(dim), np.ones(dim, dtype=dtype_for(m)))}
-    # prefix -> the number of words still to come that start with it
-    need = Counter(w[:i] for e in equations for w in e for i in range(1, len(w) + 1))
-    for e in filter(None, equations):
+    rhos = basis.rho([w for e in equations for w in e])
+    for e in equations:
         top = max(map(len, e))
         scale = math.lcm(*(Fraction(c).denominator for c in e.values()))
         keys, terms = [], []
         for w, c in e.items():
-            cut = max(i for i in range(len(w) + 1) if w[:i] in cache)
-            rho = cache[w[:cut]]
-            for i in range(1, len(w) + 1):
-                if i > cut:
-                    rho = cache[w[:i]] = basis.act(*rho, w[i - 1])
-                need[w[:i]] -= 1
-                if not need[w[:i]]:
-                    del cache[w[:i]]
+            rows, cols, vals = next(rhos)
             coeff = reduce_mod(int(Fraction(c) * scale * den ** (top - len(w))), m)
-            keys.append(rho[0] * dim + rho[1])
-            terms.append(reduce_mod(coeff * rho[2], m))
+            keys.append(rows * dim + cols)
+            terms.append(reduce_mod(coeff * vals, m))
+            del rows, cols, vals   # rho(w), released before the next is walked
         if len(sum_by_key(np.concatenate(keys), np.concatenate(terms), m)[0]):
             return False
     return True
@@ -331,7 +340,7 @@ def complete(equations, field: Field, degree_cap: int,
     on the system as `rs.basis` (None after the fallback).
     `verification_ambiguities` counts each pass's overlaps either way.
     """
-    equations = [dict(e) for e in equations]
+    equations = [dict(e) for e in equations if e]
     letters = 1 + max((max(w) for e in equations for w in e if w), default=-1)
     rs = RewriteSystem(field)
     stats = CompletionStats()

@@ -102,6 +102,25 @@ def test_classify_cyclotomic_scope_rejection(capsys):
     assert code == 1 and "power of q^2" in err
 
 
+def test_classify_cyclotomic_refuses_fast_near_2_31(capsys):
+    # e = 357,913,941: a search over the powers of q^2 takes minutes
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                         "--field", "gfp:2147483647", "--q", "3", "--u", "5")
+    assert code == 1 and "power of q^2" in err
+
+
+def test_build_refuses_n_beyond_the_generator_bytes(capsys):
+    code, out, err = run(capsys, "build", "--n", "200", "--field", "gfp:101",
+                         "--q", "2", "--u", "4")
+    assert code == 1 and "n = 200 is outside 1..128" in err
+
+
+def test_build_reports_words_persisting_at_the_cap(capsys):
+    code, out, err = run(capsys, "build", "--n", "3", "--field", "gfp:101",
+                         "--q", "2", "--u", "4", "--degree-cap", "3")
+    assert code == 2 and "persist at degree 3" in err
+
+
 def test_classify_explicit_multicharge(capsys):
     code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "3",
                          *GENERIC, "--multicharge", "1")

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cycbmw.fields import GF
-from cycbmw.params import ParameterSet
+from cycbmw.params import ParameterSet, admissible_rho
 from cycbmw.combinatorics import (IndexPair, IndexPoset, Multicharge,
                                   MultichargeScopeError, classify_affine,
                                   classify_cyclotomic, dominates, e_restricted,
@@ -97,6 +97,20 @@ def test_multicharge_from_parameters():
     bad = ParameterSet(F, q, q.inv(), [q], admissible=True)
     with pytest.raises(MultichargeScopeError):
         Multicharge.from_parameters(bad)
+
+
+def test_multicharge_by_discrete_log_near_2_31():
+    # q^2 = 9 has order e = 357,913,941 in GF(2^31 - 1)
+    G = GF(2**31 - 1)
+    q = G(3)
+
+    def params(u):
+        return ParameterSet(G, q, admissible_rho(q, [u]), [u], admissible=True)
+
+    mc = Multicharge.from_parameters(params((q * q) ** 123456789))
+    assert mc.e == 357_913_941 and mc.charges == (123456789,)
+    with pytest.raises(MultichargeScopeError):
+        Multicharge.from_parameters(params(G(5)))
 
 
 def test_aperiodic_examples():

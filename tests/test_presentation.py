@@ -13,7 +13,7 @@ from test_rewriting import pairwise_overlaps
 from cycbmw import presentation, rewriting
 from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import RowBasis, reduce_mod
+from cycbmw.linalg import RowBasis, fraction_free, reduce_mod
 from cycbmw.params import ParameterSet, omega
 from cycbmw.presentation import (BuildError, E, G, X, StructureAlgebra, build_algebra,
                                  canonical_relations, check_omega_relations,
@@ -327,8 +327,8 @@ def test_dump_canonical_and_loadable(algebras):
 
 
 def _concatenation_product(A, i, j):
-    red = A.rules.reduce_word(A.words[i] + A.words[j])
-    return tuple(sorted((A.word_index[w], c) for w, c in red.items()))
+    red = A.rules.reduce_word(A.basis.words[i] + A.basis.words[j])
+    return tuple(sorted((A.basis.index[w], c) for w, c in red.items()))
 
 
 TABLE_CASES = {
@@ -352,6 +352,21 @@ def test_structure_constants_are_the_only_copy(birth):
         for col, whole in ((Ij, I), (Kj, K), (Cj, C)):
             assert col.tolist() == whole[lo:hi].tolist()
         assert (J[lo:hi] == j).all()
+
+
+def test_numerators_are_made_with_the_constants():
+    # over Q every birth stores C and its numerators together (`_store`)
+    A = TABLE_CASES["q_b13"]()
+    assert A._numerators is None
+    A.materialize()
+    L = load_algebra(json.loads(dumps_algebra(A)))
+    columns = [A.right_matrix(A.dense({j: QQ.one()})) for j in range(A.dim)]
+    B = StructureAlgebra.from_columns(QQ, columns, A.unit(), None, None, None)
+    for alg in (A, L, B):
+        N, d = alg._numerators
+        want, d_want = fraction_free(alg.structure_constants()[3])
+        assert d == d_want > 1 and N.tolist() == want.tolist()
+    assert B.structure_constants()[3].tolist() == A.structure_constants()[3].tolist()
 
 
 @pytest.mark.parametrize("birth", ["materialized", "loaded"])
@@ -530,7 +545,7 @@ def test_each_generator_action_is_reduced_once(monkeypatch):
     A.structure_constants()
     # all dim x #gens actions b_k g of the n = 3 system are computed, and
     # nothing is computed twice on it or on the probe's n = 2 system
-    actions = [(A.rules, w + bytes((g,))) for w in A.words for g in range(5)]
+    actions = [(A.rules, w + bytes((g,))) for w in A.basis.words for g in range(5)]
     assert all(counts[key] == 1 for key in actions)
     assert max(counts.values()) == 1
     # an n = 2 build served from the probe cache reuses the probe's actions
@@ -825,6 +840,20 @@ def test_cap_too_small_raises():
         build_algebra(2, generic(1), degree_cap=1, orientation13="x1")
     with pytest.raises(CompletionError):
         build_algebra(2, generic(2), degree_cap=3, orientation13="x1")
+
+
+def test_words_persisting_at_the_cap_raise():
+    # completion finishes under the cap, but the words do not: no basis
+    with pytest.raises(CompletionError, match="persist at degree 3"):
+        build_algebra(3, generic(1), degree_cap=3, orientation13="x1")
+
+
+def test_n_beyond_the_generator_bytes_is_refused():
+    assert presentation.MAX_N == 128 and X(presentation.MAX_N) == 254
+    for call in (lambda: build_algebra(129, generic(1)),
+                 lambda: canonical_relations(129, generic(1))):
+        with pytest.raises(BuildError, match="n = 129 is outside 1..128"):
+            call()
 
 
 def test_word_str_round_trip():

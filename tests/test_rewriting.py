@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from test_fields import DETERMINISTIC
 from cycbmw import rewriting
 from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
-from cycbmw.linalg import dtype_for, reduce_mod
+from cycbmw.linalg import dtype_for, matmul_mod, reduce_mod, zeros
 from cycbmw.params import ParameterSet, admissible_rho
 from cycbmw.presentation import (canonical_relations, default_degree_cap,
                                  select_orientation13)
@@ -268,6 +269,55 @@ def test_changed_action_entry_fails_the_certificate(field):
         assert not rewriting._relations_vanish(basis, eqs), t
     basis.csr = (start, cols, vals)
     assert rewriting._relations_vanish(basis, eqs)
+
+
+# -- Basis.rho against products of dense action matrices -----------------------------
+
+def _dense_rho(basis, w):
+    """rho(w) as the product of the dense matrices of the actions of its
+    letters: row k of the action of g holds NF(b_k g) (`Basis.actions`)."""
+    dim, m = len(basis.words), basis.field.p
+    out = zeros((dim, dim), m)
+    out[range(dim), range(dim)] = basis.field.one()
+    for g in w:
+        action = zeros((dim, dim), m)
+        for k, row in enumerate(basis.actions[g]):
+            action[k, list(row)] = list(row.values())
+        out = matmul_mod(out, action, m)
+    return out
+
+
+def _rho_words(letters):
+    """Seeded words with shared prefixes, repeats, a word that is a prefix
+    of a later word, and the empty word."""
+    rng = random.Random(23)
+    stems = [bytes(rng.randrange(letters) for _ in range(rng.randint(1, 3))) for _ in range(6)]
+    words = [s + bytes(rng.randrange(letters) for _ in range(rng.randint(0, 3)))
+             for s in stems for _ in range(2)]
+    rng.shuffle(words)
+    long = next(w for w in words if len(w) > 2)
+    return [long[:2], *words, b"", words[3], long, b""]
+
+
+@pytest.mark.parametrize("case", ["gf101_b13", "q_b13"])
+def test_rho_is_the_product_of_the_actions(case):
+    eqs, field, cap = SYSTEMS[case]()
+    basis = complete(eqs, field, cap)[0].basis
+    dim, den = len(basis.words), basis.denominator
+    assert (den > 1) == (field.p == 0)
+    words = _rho_words(len(basis.actions))
+    assert len(set(words)) < len(words) and b"" in words
+    assert any(len(a) < len(b) and b.startswith(a)
+               for i, a in enumerate(words) for b in words[i + 1:])
+    walked = list(basis.rho(words))
+    assert len(walked) == len(words)
+    for w, (rows, cols, vals) in zip(words, walked):
+        keys = rows * dim + cols
+        assert (np.diff(keys) > 0).all() and vals.all()
+        got = zeros((dim, dim), field.p)
+        # over Q the walk holds numerators over denominator^len(w)
+        got[rows, cols] = vals if field.p else [Fraction(v, den ** len(w)) for v in vals]
+        assert got.tolist() == _dense_rho(basis, w).tolist(), w
 
 
 _X, _Y = b"\x00", b"\x01"
