@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_param_flags(sp):
     sp.add_argument("--params", help="parameter file (mutually exclusive with inline flags)")
     sp.add_argument("--field", help="field descriptor: q or gfp:<p>")
-    sp.add_argument("--q", dest="q_val", help="the deformation scalar q")
+    sp.add_argument("--q", help="the deformation scalar q")
     sp.add_argument("--rho", help="the twist scalar; derived from u when "
                                   "--admissible is set and --rho is omitted")
     sp.add_argument("--u", help="comma list of cyclotomic roots u_1,..,u_r")
@@ -55,14 +55,24 @@ def _add_param_flags(sp):
                                     "non-admissible sets")
 
 
+# the argparse dests of the inline parameter flags
+_PARAM_DESTS = ("field", "q", "rho", "u", "r", "omega", "admissible")
+
+
+def _given(args, dests) -> List[str]:
+    """The flags, among the argparse `dests`, that were given (are not None);
+    a False one was given as --no-<flag>."""
+    return ["--" + "no-" * (getattr(args, d) is False) + d.replace("_", "-")
+            for d in dests if getattr(args, d) is not None]
+
+
 def _parameters_from_args(args) -> ParameterSet:
-    inline = [args.field, args.q_val, args.rho, args.u, args.r, args.omega, args.admissible]
-    if args.params and any(v is not None for v in inline):
+    if args.params and _given(args, _PARAM_DESTS):
         raise CliError("--params and inline parameter flags are mutually exclusive")
     if args.params:
         with open(args.params, "r", encoding="utf-8") as fh:
             return parse_parameter_file(fh.read())
-    if args.field is None or args.q_val is None or args.u is None:
+    if args.field is None or args.q is None or args.u is None:
         raise CliError("need --params or at least --field, --q and --u")
     field = Field.from_descriptor(args.field)
     u = [s.strip() for s in args.u.split(",") if s.strip()]
@@ -79,8 +89,8 @@ def _parameters_from_args(args) -> ParameterSet:
         if not admissible:
             raise CliError("--rho is required for non-admissible parameters")
         # derive rho from the first allowed alpha: rho^{-1} = alpha prod(u)
-        rho = admissible_rho(field(args.q_val), [field(x) for x in u])
-    return ParameterSet(field, args.q_val, rho, u, admissible=admissible,
+        rho = admissible_rho(field(args.q), [field(x) for x in u])
+    return ParameterSet(field, args.q, rho, u, admissible=admissible,
                         omegas=omegas)
 
 
@@ -121,15 +131,26 @@ def cmd_build(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.mode == "affine":
+    affine = args.mode == "affine"
+    ignored = ("multicharge", "params") + _PARAM_DESTS if affine else ("e", "window", "omega_zero")
+    if flags := _given(args, ignored):
+        raise CliError(f"--mode {args.mode} does not use {', '.join(flags)}")
+    if affine:
         if args.e is None:
             raise CliError("--mode affine needs --e (>= 2, or 'inf')")
         e = None if args.e in ("inf", "infinity") else int(args.e)
         window = None
-        if args.window:
-            lo, hi = args.window.split(":")
-            window = (int(lo), int(hi))
-        entries = classify_affine(args.n, e, omega_all_zero=args.omega_zero,
+        if args.window is not None:
+            if e is not None:
+                raise CliError("--window needs --e inf")
+            try:
+                lo, hi = map(int, args.window.split(":"))
+            except ValueError:
+                raise CliError(f"--window {args.window!r} is not lo:hi, two integers") from None
+            if lo > hi:
+                raise CliError(f"--window {args.window}: lo > hi")
+            window = (lo, hi)
+        entries = classify_affine(args.n, e, omega_all_zero=bool(args.omega_zero),
                                   window=window)
         rows = affine_rows(entries)
     else:
@@ -183,8 +204,10 @@ def cmd_semiadmissible(args) -> int:
 def cmd_verify(args) -> int:
     from .acceptance import CRITERIA, run_all
     only = None
-    if args.only:
+    if args.only is not None:
         only = [s.strip() for s in args.only.split(",") if s.strip()]
+        if not only:
+            raise CliError(f"--only {args.only!r} selects no criterion")
         known = {cid for cid, _, _ in CRITERIA}
         unknown = set(only) - known
         if unknown:
@@ -225,7 +248,7 @@ def make_parser() -> _Parser:
     c.add_argument("--mode", choices=("affine", "cyclotomic"), required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--e", help="quantum characteristic (affine mode); int or 'inf'")
-    c.add_argument("--omega-zero", action="store_true",
+    c.add_argument("--omega-zero", action="store_true", default=None,
                    help="affine mode: assume the whole omega sequence vanishes")
     c.add_argument("--window", help="inclusive start-residue window lo:hi for e=inf")
     c.add_argument("--multicharge", help="comma list s_1..s_r (cyclotomic mode)")

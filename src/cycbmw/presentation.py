@@ -251,7 +251,7 @@ class StructureAlgebra:
     A word-born algebra never reduces a concatenation b_i b_j: column j of
     its table is rho(b_j), the right action of b_j, walked by
     `rewriting.Basis.rho` through the actions NF(b_k g), dim x #gens of
-    them, each reduced once, as the completion's certificate is.  Normal
+    them, each computed once, as the completion's certificate is.  Normal
     forms in a confluent system are unique, so the table equals the normal
     forms of the concatenations entry for entry.
     """
@@ -280,15 +280,11 @@ class StructureAlgebra:
     def from_rewriting(cls, field: Field, rules: RewriteSystem,
                        n: int, params: ParameterSet, variant: str, meta: dict):
         basis = rules.basis
-        # the generator g is the action of g on the unit, words[0]
-        gens = {gen_name(g, n): act[0] for g, act in enumerate(basis.actions)}
         alg = cls(field, len(basis.words), {0: field.one()},
-                  [word_str(w, n) for w in basis.words], gens=gens, meta=meta)
-        alg.rules = rules
-        alg.basis = basis
-        alg.n = n
-        alg.params = params
-        alg.variant = variant
+                  [word_str(w, n) for w in basis.words], meta=meta)
+        alg.rules, alg.basis, alg.n, alg.params, alg.variant = rules, basis, n, params, variant
+        # the generator g is NF(g), once the rules are on the algebra
+        alg.gens = {gen_name(g, n): alg.nf_word(bytes((g,))) for g in range(gen_count(n))}
         return alg
 
     @classmethod
@@ -469,9 +465,8 @@ class StructureAlgebra:
             raise BuildError("operation needs a presentation-born algebra")
 
     def nf_word(self, w: bytes) -> np.ndarray:
-        """NF(w), walked from the unit through the generator actions."""
-        self._need_words()
-        return self.dense(self.basis.times(0, w, {}))
+        """NF(w), by `RewriteSystem.reduce`."""
+        return self.nf_element({w: self.field.one()})
 
     def nf_element(self, elem: Dict[bytes, object]) -> np.ndarray:
         """NF of a word-keyed element {word: raw coefficient}."""

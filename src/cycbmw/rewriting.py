@@ -21,13 +21,13 @@ popped smallest word first.  On success a certificate that never rests on
 the criterion proves the irreducible words W a basis of the quotient
 A = k<X>/(equations): each equation sum c_w w acts as 0 on k^W,
 sum c_w rho(w) = 0, where rho(g) is the right action NF(b_k g) of the
-letter g on the words, each reduced once, and rho(w) is walked letter by
-letter (`Basis.rho`).  W spans A (every rule lies in the ideal); rho
+letter g on the words, kept once as one sparse matrix, and rho(w) is walked
+letter by letter (`Basis.rho`).  W spans A (every rule lies in the ideal); rho
 factors through A (it kills the ideal's generators); W is prefix-closed,
 so e_0 rho(b) = e_b for the empty word b_0 and b in W, and a -> e_0 rho(a)
 maps A onto k^W: dim A >= |W|.  So every overlap resolves (Bergman 1978),
-and the words and actions stay on the system (`RewriteSystem.basis`): the
-product table is the same walk, over the words.  Where the certificate
+and the words and that matrix stay on the system (`RewriteSystem.basis`):
+the product table is the same walk, over the words.  Where the certificate
 fails, or the words are infinite or truncated at the cap, each overlap is
 reduced from scratch, and those that do not resolve go back into the loop.
 
@@ -175,59 +175,59 @@ class RewriteSystem:
         return self.reduce({w: self.field.one()})
 
 
-class Basis:
-    """The irreducible words of a finished system, in deglex order, and the
-    right action of each letter on them: actions[g][k] = NF(words[k] g) as
-    {index: coeff}, each computed once, and stacked as one sparse matrix
-    `csr` = (start, cols, vals) with row g dim + k: vals reduced over GF(p),
-    integer numerators over `denominator` over Q (1 over GF(p)).
+def _times(field: Field, actions: list, memo: dict, j: int, u: bytes) -> dict:
+    """NF(b_j u), walked through the rows filled so far: NF(b_j u) =
+    sum_i c_i NF(b_i u[1:]) over NF(b_j u[0]) = sum_i c_i b_i, each (j, u)
+    of two or more letters kept in `memo`; shared with it or a row, not a copy."""
+    if len(u) < 2:
+        return actions[u[0]][j] if u else {j: field.one()}
+    out = memo.get((j, u))
+    if out is None:
+        rest = u[1:]
+        out = memo[j, u] = field.lincomb((c, _times(field, actions, memo, i, rest))
+                                         for i, c in actions[u[0]][j].items())
+    return out
 
-    The words must be every irreducible word (a finite, untruncated list).
-    The actions are filled in deglex order of the word b_k g.  b_k is
-    irreducible, so a redex of b_k g ends at g (`redex_at_end`): b_k g = pre lhs, and
-    NF(b_k g) is NF(pre w) summed over the rhs words w of lhs, walked
-    through the actions of words b_j h <= pre w < b_k g, filled before it.
-    """
+
+def _action_rows(rs: RewriteSystem, words: list, index: dict, letters: int) -> list:
+    """NF(b_k g) as {index: coeff}, row g dim + k, filled in deglex order of
+    b_k g.  b_k is irreducible, so a redex of b_k g ends at g (`redex_at_end`):
+    b_k g = pre lhs, and NF(b_k g) is NF(pre w) summed over the rhs words w
+    of lhs (`_times`), walked through the rows of words b_j h <= pre w < b_k g,
+    filled before it.  The walks' memo is freed on return, before the stack."""
+    field, one = rs.field, rs.field.one()
+    actions = [[None] * len(words) for _ in range(letters)]
+    memo: dict = {}
+    # the words are in deglex order, so this visits b_k g in deglex order
+    for k, word in enumerate(words):
+        for g in range(letters):
+            wg = word + bytes((g,))
+            redex = rs.redex_at_end(wg)
+            if redex is None:
+                actions[g][k] = {index[wg]: one}
+            else:
+                pre = index[wg[:redex[0]]]
+                actions[g][k] = field.lincomb((c, _times(field, actions, memo, pre, w))
+                                              for w, c in rs.rules[redex[1]].items())
+    return [row for act in actions for row in act]
+
+
+class Basis:
+    """The irreducible words of a finished system, in deglex order (every
+    one: a finite, untruncated list), and the right action of each letter on
+    them, stacked once as the sparse matrix `csr` = (start, cols, vals): row
+    g dim + k is NF(words[k] g) (`_action_rows`), vals reduced over GF(p),
+    integer numerators over `denominator` over Q (1 over GF(p))."""
 
     def __init__(self, rs: RewriteSystem, words: list, letters: int):
-        self.field, self.one = rs.field, rs.field.one()
+        self.field = rs.field
         self.words = words
-        self.index = index = {w: k for k, w in enumerate(words)}
-        self.actions: list = [[None] * len(words) for _ in range(letters)]
-        memo: dict = {}
-        # the words are in deglex order, so this visits b_k g in deglex order
-        for k, word in enumerate(words):
-            for g in range(letters):
-                wg = word + bytes((g,))
-                redex = rs.redex_at_end(wg)
-                if redex is None:
-                    row = {index[wg]: self.one}
-                else:
-                    pre = index[wg[:redex[0]]]
-                    row = self.field.lincomb((c, self.times(pre, w, memo))
-                                             for w, c in rs.rules[redex[1]].items())
-                self.actions[g][k] = row
-        rows = [row for act in self.actions for row in act]
+        self.index = {w: k for k, w in enumerate(words)}
+        rows = _action_rows(rs, words, self.index, letters)
         vals = as_array([c for row in rows for c in row.values()], self.field.p)
         vals, self.denominator = (vals, 1) if self.field.p else fraction_free(vals)
         self.csr = (np.cumsum([0] + [len(row) for row in rows]),
                     np.array([k for row in rows for k in row], dtype=np.int64), vals)
-
-    def times(self, k: int, u: bytes, memo: dict) -> dict:
-        """NF(words[k] u) as {index: coeff}, walked through the actions:
-        NF(b_k u) = sum_j c_j NF(b_j u[1:]) over NF(b_k u[0]) = sum_j c_j b_j.
-        `memo`, one for the whole fill of the actions, keeps every
-        (k, suffix of u) of two or more letters that it passes; the result
-        is shared with it or with the actions, not a copy."""
-        if len(u) < 2:
-            return self.actions[u[0]][k] if u else {k: self.one}
-        key = (k, u)
-        out = memo.get(key)
-        if out is None:
-            rest = u[1:]
-            out = memo[key] = self.field.lincomb((c, self.times(j, rest, memo))
-                                                 for j, c in self.actions[u[0]][k].items())
-        return out
 
     def rho(self, words):
         """Yield rho(w), the right action of w on k^W, for each w of the list
@@ -448,4 +448,5 @@ def enumerate_irreducible_words(rs: RewriteSystem, alphabet_size: int,
         raise CompletionError(
             f"irreducible words persist at degree {degree_cap}; "
             "the quotient looks infinite-dimensional under this cap")
-    return sorted(words, key=deglex_key)
+    # each level extends the lex-sorted one before by ascending letters: deglex
+    return words

@@ -278,6 +278,44 @@ def test_verify_only_filter(capsys):
     assert code == 1 and "unknown criteria" in err
 
 
+def test_verify_refuses_an_empty_selection(capsys):
+    for only in (",", ""):
+        code, out, err = run(capsys, "verify", "--only", only)
+        assert code == 1 and "--only" in err and "selects no criterion" in err and not out
+
+
+_CYCLOTOMIC = ("--mode", "cyclotomic", "--n", "2", *GENERIC)
+_AFFINE = ("--mode", "affine", "--n", "2")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ((*_CYCLOTOMIC, "--e", "3"), "--e"),
+    ((*_CYCLOTOMIC, "--window", "0:1"), "--window"),
+    ((*_CYCLOTOMIC, "--omega-zero"), "--omega-zero"),
+    ((*_AFFINE, "--e", "2", "--multicharge", "0"), "--multicharge"),
+    ((*_AFFINE, "--e", "2", "--field", "gfp:7"), "--field"),
+    ((*_AFFINE, "--e", "2", "--params", "unused.params"), "--params"),
+    ((*_AFFINE, "--e", "2", "--no-admissible"), "--no-admissible"),
+    ((*_AFFINE, "--e", "inf", "--window", "3"), "--window"),
+    ((*_AFFINE, "--e", "inf", "--window", "a:1"), "--window"),
+    ((*_AFFINE, "--e", "inf", "--window", "3:1"), "--window"),
+    ((*_AFFINE, "--e", "3", "--window", "0:1"), "--window"),
+], ids=["cyclotomic-e", "cyclotomic-window", "cyclotomic-omega-zero", "affine-multicharge",
+        "affine-field", "affine-params", "affine-no-admissible", "window-one-value",
+        "window-not-integers", "window-lo-above-hi", "window-finite-e"])
+def test_classify_refuses_flags_it_would_ignore(capsys, argv, flag):
+    code, out, err = run(capsys, "classify", *argv)
+    assert code == 1 and flag in err and not out, err
+
+
+def test_classify_affine_window_at_e_inf(capsys):
+    # lo = hi is a window of one start residue; 0:1 adds the segments from 1
+    base = ("classify", *_AFFINE, "--e", "inf", "--window")
+    code, out, _ = run(capsys, *base, "0:0")
+    code_w, out_w, _ = run(capsys, *base, "0:1")
+    assert code == code_w == 0 and 1 < len(json.loads(out)) < len(json.loads(out_w)) == 6
+
+
 def test_unknown_flag_is_validation_error(capsys):
     code, out, err = run(capsys, "build", "--frobnicate")
     assert code == 1

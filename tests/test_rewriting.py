@@ -226,7 +226,7 @@ def test_broken_rule_fails_the_certificate_and_complete_falls_back(monkeypatch):
     eqs, field, cap = SYSTEMS["gf101_b13"]()
     rs, _ = complete(eqs, field, cap)
     broken = _drop_one_rhs_term(rs)
-    basis = Basis(broken, rs.basis.words, len(rs.basis.actions))
+    basis = Basis(broken, rs.basis.words, _letters(rs))
     assert not rewriting._relations_vanish(basis, eqs)
     failed = [bool(t[3]) for t in overlap_differences(broken)]
     assert 0 < sum(failed) < len(failed)
@@ -271,19 +271,57 @@ def test_changed_action_entry_fails_the_certificate(field):
     assert rewriting._relations_vanish(basis, eqs)
 
 
+def _letters(rs):
+    """The letter count of a finished system: in a finite quotient every
+    letter's powers reduce, so each letter occurs in some lhs."""
+    return 1 + max(map(max, rs.rules))
+
+
+@pytest.mark.parametrize("case", ["gf101_b13", "q_b13", "gf101_ak_b23"])
+def test_action_rows_are_the_normal_forms_of_the_words(case):
+    # row g dim + k of the stacked actions against NF(b_k g), reduced on its
+    # own; the Basis is made here, so a wrong fill fails here, not only in
+    # the certificate of `complete`
+    eqs, field, cap = SYSTEMS[case]()
+    rs = complete(eqs, field, cap)[0]
+    letters = _letters(rs)
+    basis = Basis(rs, enumerate_irreducible_words(rs, letters, cap), letters)
+    # the actions are kept once, as the CSR
+    assert set(vars(basis)) == {"field", "words", "index", "csr", "denominator"}
+    dim, (start, cols, vals) = len(basis.words), basis.csr
+    assert len(start) == letters * dim + 1
+    for g in range(letters):
+        for k, b in enumerate(basis.words):
+            t = slice(start[g * dim + k], start[g * dim + k + 1])
+            row = {basis.words[j]: v if field.p else Fraction(v, basis.denominator)
+                   for j, v in zip(cols[t].tolist(), vals[t].tolist())}
+            assert row == rs.reduce_word(b + bytes((g,))), (b, g)
+
+
 # -- Basis.rho against products of dense action matrices -----------------------------
 
-def _dense_rho(basis, w):
-    """rho(w) as the product of the dense matrices of the actions of its
-    letters: row k of the action of g holds NF(b_k g) (`Basis.actions`)."""
-    dim, m = len(basis.words), basis.field.p
-    out = zeros((dim, dim), m)
-    out[range(dim), range(dim)] = basis.field.one()
-    for g in w:
+def _dense_actions(rs):
+    """The dense matrix of the action of each letter: row k of the action
+    of g holds NF(b_k g), by `reduce_word`."""
+    basis, m = rs.basis, rs.field.p
+    dim = len(basis.words)
+    actions = []
+    for g in range(_letters(rs)):
         action = zeros((dim, dim), m)
-        for k, row in enumerate(basis.actions[g]):
-            action[k, list(row)] = list(row.values())
-        out = matmul_mod(out, action, m)
+        for k, b in enumerate(basis.words):
+            for v, c in rs.reduce_word(b + bytes((g,))).items():
+                action[k, basis.index[v]] = c
+        actions.append(action)
+    return actions
+
+
+def _dense_rho(actions, w, field):
+    """rho(w) as the product of the dense matrices of the actions of its letters."""
+    dim, m = len(actions[0]), field.p
+    out = zeros((dim, dim), m)
+    out[range(dim), range(dim)] = field.one()
+    for g in w:
+        out = matmul_mod(out, actions[g], m)
     return out
 
 
@@ -302,10 +340,11 @@ def _rho_words(letters):
 @pytest.mark.parametrize("case", ["gf101_b13", "q_b13"])
 def test_rho_is_the_product_of_the_actions(case):
     eqs, field, cap = SYSTEMS[case]()
-    basis = complete(eqs, field, cap)[0].basis
+    rs = complete(eqs, field, cap)[0]
+    basis, actions = rs.basis, _dense_actions(rs)
     dim, den = len(basis.words), basis.denominator
     assert (den > 1) == (field.p == 0)
-    words = _rho_words(len(basis.actions))
+    words = _rho_words(len(actions))
     assert len(set(words)) < len(words) and b"" in words
     assert any(len(a) < len(b) and b.startswith(a)
                for i, a in enumerate(words) for b in words[i + 1:])
@@ -317,7 +356,7 @@ def test_rho_is_the_product_of_the_actions(case):
         got = zeros((dim, dim), field.p)
         # over Q the walk holds numerators over denominator^len(w)
         got[rows, cols] = vals if field.p else [Fraction(v, den ** len(w)) for v in vals]
-        assert got.tolist() == _dense_rho(basis, w).tolist(), w
+        assert got.tolist() == _dense_rho(actions, w, field).tolist(), w
 
 
 _X, _Y = b"\x00", b"\x01"
