@@ -138,7 +138,12 @@ def cmd_classify(args) -> int:
     if affine:
         if args.e is None:
             raise CliError("--mode affine needs --e (>= 2, or 'inf')")
-        e = None if args.e in ("inf", "infinity") else int(args.e)
+        try:
+            e = None if args.e in ("inf", "infinity") else int(args.e)
+        except ValueError:
+            e = 0   # refused below, with the integers below 2
+        if e is not None and e < 2:
+            raise CliError(f"--e {args.e!r} is neither an integer >= 2 nor 'inf'")
         window = None
         if args.window is not None:
             if e is not None:
@@ -150,13 +155,19 @@ def cmd_classify(args) -> int:
             if lo > hi:
                 raise CliError(f"--window {args.window}: lo > hi")
             window = (lo, hi)
+        elif e is None:
+            raise CliError("--e inf needs --window lo:hi, the start residues to enumerate")
         entries = classify_affine(args.n, e, omega_all_zero=bool(args.omega_zero),
                                   window=window)
         rows = affine_rows(entries)
     else:
         p = _parameters_from_args(args)
         if args.multicharge:
-            charges = tuple(int(s) for s in args.multicharge.split(","))
+            try:
+                charges = tuple(int(s) for s in args.multicharge.split(","))
+            except ValueError:
+                raise CliError(f"--multicharge {args.multicharge!r} is not a comma "
+                               "list of integers") from None
             mc = Multicharge(p.e, charges)
         else:
             mc = Multicharge.from_parameters(p)
@@ -185,8 +196,8 @@ def cmd_analyze(args) -> int:
         else:
             count = len(cls)
         match = rep.split and len(rep.blocks) == count
-    except MultichargeScopeError:
-        pass
+    except MultichargeScopeError as exc:
+        rep.caveats.append(f"no classification count: {exc}")
     payload = rep.to_json(classification_count=count, match=match)
     _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     if args.strict and not rep.split:

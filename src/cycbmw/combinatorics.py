@@ -179,10 +179,6 @@ def enumerate_index_poset(r: int, n: int, mode: str = "full",
 
 # -- multicharges and the Kleshchev recursion -------------------------------------
 
-# |s| bound of the discrete-log search for s_j when e is infinite
-_CHARGE_SEARCH_BOUND = 64
-
-
 @dataclass(frozen=True)
 class Multicharge:
     e: Optional[int]                 # None = infinite quantum characteristic
@@ -216,10 +212,15 @@ class Multicharge:
                 except ValueError:   # u_j is not in the group q^2 generates
                     pass
             else:
-                for s in range(-_CHARGE_SEARCH_BOUND, _CHARGE_SEARCH_BOUND + 1):
-                    if q2**s == uj:
-                        found = s
-                        break
+                # over Q, q^2 is a positive rational other than 1: the height
+                # max(|numerator|, denominator) of q^{2s} is H(q^2)^|s| >= 2^|s|,
+                # so |s| is the k <= bit length of H(u_j) with H(q^2)^k = H(u_j)
+                height, base = (max(abs(x.numerator), x.denominator)
+                                for x in (uj.value, q2.value))
+                k, power = 0, 1
+                while power < height:
+                    k, power = k + 1, power * base
+                found = next((s for s in (k, -k) if q2**s == uj), None)
             if found is None:
                 raise MultichargeScopeError(
                     f"u = {uj} is not an integral power of q^2; the Kleshchev "

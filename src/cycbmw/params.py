@@ -307,7 +307,7 @@ _FLAG_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False
 
 
 def parse_parameter_file(text: str) -> ParameterSet:
-    entries = {}
+    entries, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -320,14 +320,20 @@ def parse_parameter_file(text: str) -> ParameterSet:
             raise ParameterError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ParameterError(f"line {lineno}: repeated key {key!r}")
-        entries[key] = val.strip()
+        entries[key], line_of[key] = val.strip(), lineno
     missing = {"field", "q", "rho", "u"} - set(entries)
     if missing:
         raise ParameterError(f"parameter file is missing: {', '.join(sorted(missing))}")
     field = Field.from_descriptor(entries["field"])
     u = [s.strip() for s in entries["u"].split(",") if s.strip()]
-    if "r" in entries and int(entries["r"]) != len(u):
-        raise ParameterError("declared r does not match the number of u-values")
+    if "r" in entries:
+        try:
+            r = int(entries["r"])
+        except ValueError:
+            raise ParameterError(f"line {line_of['r']}: r = {entries['r']!r} "
+                                 "is not an integer") from None
+        if r != len(u):
+            raise ParameterError("declared r does not match the number of u-values")
     flag = entries.get("admissible", "true").lower()
     if flag not in _FLAG_VALUES:
         raise ParameterError(f"admissible must be one of {'/'.join(_FLAG_VALUES)}, "

@@ -102,6 +102,13 @@ def test_classify_cyclotomic_scope_rejection(capsys):
     assert code == 1 and "power of q^2" in err
 
 
+def test_classify_cyclotomic_over_q_finds_large_charges(capsys):
+    # u = q^(2 * 65): over Q the charge is exact, however large
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                         "--field", "q", "--q", "2", "--u", str(4**65))
+    assert code == 0 and len(json.loads(out)) == 3, err
+
+
 def test_classify_cyclotomic_refuses_fast_near_2_31(capsys):
     # e = 357,913,941: a search over the powers of q^2 takes minutes
     code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
@@ -215,6 +222,21 @@ def test_analyze_ariki_koike_dump(tmp_path, capsys):
     assert len(payload["blocks"]) == 1
 
 
+def test_analyze_says_why_it_has_no_classification_count(tmp_path, capsys):
+    # u = 2 = q is not a power of q^2 in GF(101): the blocks, but no count
+    dump = tmp_path / "u2.json"
+    code, _, _ = run(capsys, "build", "--n", "2", "--field", "gfp:101", "--q", "2",
+                     "--u", "2", "--out", str(dump))
+    assert code == 0
+    code, out, err = run(capsys, "analyze", str(dump))
+    payload = json.loads(out)
+    assert code == 0 and payload["blocks"] == [1, 1, 1]
+    assert payload["classification_count"] is None and payload["match"] is None
+    assert len(payload["caveats"]) == 1
+    assert payload["caveats"][0].startswith("no classification count: u = 2 is not "
+                                            "an integral power of q^2")
+
+
 def test_analyze_corrupted_dump(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"field\": \"gfp:101\"}")
@@ -300,9 +322,14 @@ _AFFINE = ("--mode", "affine", "--n", "2")
     ((*_AFFINE, "--e", "inf", "--window", "a:1"), "--window"),
     ((*_AFFINE, "--e", "inf", "--window", "3:1"), "--window"),
     ((*_AFFINE, "--e", "3", "--window", "0:1"), "--window"),
+    ((*_AFFINE, "--e", "abc"), "--e"),
+    ((*_AFFINE, "--e", "1"), "--e"),
+    ((*_AFFINE, "--e", "inf"), "--window"),
+    ((*_CYCLOTOMIC, "--multicharge", "x"), "--multicharge"),
 ], ids=["cyclotomic-e", "cyclotomic-window", "cyclotomic-omega-zero", "affine-multicharge",
         "affine-field", "affine-params", "affine-no-admissible", "window-one-value",
-        "window-not-integers", "window-lo-above-hi", "window-finite-e"])
+        "window-not-integers", "window-lo-above-hi", "window-finite-e", "e-not-an-integer",
+        "e-below-2", "e-inf-without-window", "multicharge-not-integers"])
 def test_classify_refuses_flags_it_would_ignore(capsys, argv, flag):
     code, out, err = run(capsys, "classify", *argv)
     assert code == 1 and flag in err and not out, err

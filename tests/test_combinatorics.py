@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from cycbmw.fields import GF
+from cycbmw.fields import GF, QQ
 from cycbmw.params import ParameterSet, admissible_rho
 from cycbmw.combinatorics import (IndexPair, IndexPoset, Multicharge,
                                   MultichargeScopeError, classify_affine,
@@ -111,6 +112,23 @@ def test_multicharge_by_discrete_log_near_2_31():
     assert mc.e == 357_913_941 and mc.charges == (123456789,)
     with pytest.raises(MultichargeScopeError):
         Multicharge.from_parameters(params(G(5)))
+
+
+def test_multicharge_over_q_is_exact():
+    # over Q the charges are unbounded: |s| is read off the height of u
+    q = QQ(Fraction(2, 3))
+    q2 = q * q
+
+    def params(*u):
+        return ParameterSet(QQ, q, admissible_rho(q, list(u)), list(u), admissible=True)
+
+    mc = Multicharge.from_parameters(params(q2**65, q2**-70))
+    assert mc.e is None and mc.charges == (65, -70)
+    # an odd power of q, the negative of a power of q^2, and 4^65 / 9^64, whose
+    # height is that of q^128: none is a power of q^2
+    for u in (q**131, -(q2**65), QQ(Fraction(4**65, 9**64))):
+        with pytest.raises(MultichargeScopeError):
+            Multicharge.from_parameters(params(u))
 
 
 def test_aperiodic_examples():

@@ -185,7 +185,8 @@ def test_parameter_file_errors():
     ("admissable = true", "unknown key 'admissable'"),
     ("omegas = 1", "unknown key 'omegas'"),
     ("q = 3", "line 5: repeated key 'q'"),
-], ids=["flag-typo", "key-typo", "plural-key", "repeated-key"])
+    ("r = x", "line 5: r = 'x' is not an integer"),
+], ids=["flag-typo", "key-typo", "plural-key", "repeated-key", "r-not-an-integer"])
 def test_parameter_file_rejects_bad_input(line, match):
     with pytest.raises(ParameterError, match=match):
         parse_parameter_file(f"field = q\nq = 2\nrho = 1/3\nu = 3\n{line}\n")

@@ -11,7 +11,7 @@ import pytest
 from test_rewriting import pairwise_overlaps
 
 from cycbmw import presentation, rewriting
-from cycbmw.acceptance import generic_parameters, semi_parameters
+from cycbmw.acceptance import generic_parameters, omega_zero_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
 from cycbmw.linalg import RowBasis, fraction_free, reduce_mod
 from cycbmw.params import ParameterSet, omega
@@ -71,8 +71,8 @@ def test_rational_build():
 def test_relation_coefficients_are_residues(n):
     for p in (generic_parameters(1), generic_parameters(2), generic_parameters(3),
               semi_parameters()):
-        for variant, orientation in (("bmw", "x1"), ("bmw", "x1inv"), ("ariki_koike", "x1")):
-            for eq in canonical_relations(n, p, variant=variant, orientation13=orientation):
+        for variant in ("bmw", "ariki_koike"):
+            for eq in canonical_relations(n, p, variant=variant):
                 assert eq and all(type(c) is int and 0 < c < p.field.p for c in eq.values())
 
 
@@ -106,9 +106,28 @@ def test_orientation13_selection():
     assert select_orientation13(p) == "x1"
     A = build_algebra(2, p)
     assert A.meta["relation13_orientation"] == "x1"
-    # forcing the x1inv reading must not reproduce the admissible rank
-    B = build_algebra(2, p, orientation13="x1inv")
-    assert B.dim != 12
+    with pytest.raises(BuildError, match="one reading 'x1', not 'x1inv'"):
+        canonical_relations(2, p, orientation13="x1inv")
+
+
+def _up_to_scalar(eq, m):
+    """The relation eq (== 0) over GF(m) scaled so that its least word has
+    coefficient 1, as a set of (word, coefficient)."""
+    inv = pow(eq[min(eq)], -1, m)
+    return frozenset((w, c * inv % m) for w, c in eq.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("variant", ["bmw", "ariki_koike"])
+def test_relations_are_closed_under_word_reversal(n, variant):
+    # the reading of relation (13) that makes the anti-involution fixing the
+    # generators (StructureAlgebra.star) well defined
+    for p in (generic_parameters(1), generic_parameters(2), generic_parameters(3),
+              semi_parameters(), omega_zero_parameters()):
+        m, eqs = p.field.p, canonical_relations(n, p, variant=variant)
+        closed = {_up_to_scalar(eq, m) for eq in eqs}
+        assert all(_up_to_scalar({w[::-1]: c for w, c in eq.items()}, m) in closed
+                   for eq in eqs)
 
 
 def test_omega_relations(algebras):
@@ -553,7 +572,7 @@ def test_each_generator_action_is_reduced_once(monkeypatch):
     B = build_algebra(2, generic(1))
     B.structure_constants()
     assert not counts
-    assert B.basis is presentation._probe_cache[(presentation._params_key(generic(1)), "bmw")][2].basis
+    assert B.basis is presentation._probe_cache[(presentation._params_key(generic(1)), "bmw")][1].basis
 
 
 @pytest.mark.parametrize("n,params,variant", [
@@ -832,20 +851,20 @@ def test_degree_cap_env(monkeypatch):
     assert default_degree_cap(2, 1) == 10
     p = generic(1)
     assert select_orientation13(p) == "x1"
-    assert presentation._probe_cache[(presentation._params_key(p), "bmw")][1] == 10
+    assert presentation._probe_cache[(presentation._params_key(p), "bmw")][0] == 10
 
 
 def test_cap_too_small_raises():
     with pytest.raises(CompletionError):
-        build_algebra(2, generic(1), degree_cap=1, orientation13="x1")
+        build_algebra(2, generic(1), degree_cap=1)
     with pytest.raises(CompletionError):
-        build_algebra(2, generic(2), degree_cap=3, orientation13="x1")
+        build_algebra(2, generic(2), degree_cap=3)
 
 
 def test_words_persisting_at_the_cap_raise():
     # completion finishes under the cap, but the words do not: no basis
     with pytest.raises(CompletionError, match="persist at degree 3"):
-        build_algebra(3, generic(1), degree_cap=3, orientation13="x1")
+        build_algebra(3, generic(1), degree_cap=3)
 
 
 def test_n_beyond_the_generator_bytes_is_refused():
