@@ -16,7 +16,7 @@ import sys
 from typing import List, Optional
 
 from .fields import Field
-from .params import ParameterSet, admissible_rho, parse_parameter_file
+from .params import ParameterSet, admissible_rho, parse_parameter_file, parse_scalars
 from .presentation import (build_algebra, dumps_algebra, load_algebra,
                            semi_admissibility_degree)
 from .repn import DEFAULT_SEED, AnalysisError, radical, wedderburn
@@ -80,18 +80,21 @@ def _parameters_from_args(args) -> ParameterSet:
         raise CliError("malformed --u list")
     if args.r is not None and args.r != len(u):
         raise CliError(f"--r {args.r} does not match {len(u)} u-values")
+    u = parse_scalars(field, u, "--u")
+    (q,) = parse_scalars(field, [args.q], "--q")
     admissible = True if args.admissible is None else args.admissible
     omegas = None
     if args.omega:
-        omegas = [s.strip() for s in args.omega.split(",") if s.strip()]
-    rho = args.rho
-    if rho is None:
-        if not admissible:
-            raise CliError("--rho is required for non-admissible parameters")
+        omegas = parse_scalars(field, [s.strip() for s in args.omega.split(",") if s.strip()],
+                               "--omega")
+    if args.rho is not None:
+        (rho,) = parse_scalars(field, [args.rho], "--rho")
+    elif not admissible:
+        raise CliError("--rho is required for non-admissible parameters")
+    else:
         # derive rho from the first allowed alpha: rho^{-1} = alpha prod(u)
-        rho = admissible_rho(field(args.q), [field(x) for x in u])
-    return ParameterSet(field, args.q, rho, u, admissible=admissible,
-                        omegas=omegas)
+        rho = admissible_rho(q, u)
+    return ParameterSet(field, q, rho, u, admissible=admissible, omegas=omegas)
 
 
 def _emit(text: str, out: Optional[str]):

@@ -23,9 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from sympy.ntheory import discrete_log
+from sympy.ntheory import discrete_log, factorint
 
 from .params import ParameterSet, omega_vanishing_report
+
+# sympy's discrete_log splits the order of q^2 into its prime factors
+# (Pohlig-Hellman) and solves each prime-order group by baby-step
+# giant-step below 10^12, by Pollard rho above.  A prime order just below
+# this bound took 0.6 s and 153 MB per u-value; Pollard rho near 10^13
+# took 2.4-6.7 s, and near 1.2 * 10^18 had not finished after 20 s.
+DISCRETE_LOG_PRIME_LIMIT = 10**12
 
 Partition = Tuple[int, ...]
 Multipartition = Tuple[Partition, ...]
@@ -201,8 +208,17 @@ class Multicharge:
 
     @staticmethod
     def from_parameters(p: ParameterSet) -> "Multicharge":
-        """Discrete logs s_j with u_j = q^{2 s_j}; rejects anything else."""
+        """Discrete logs s_j with u_j = q^{2 s_j}; rejects anything else, and
+        over GF(p) any q^2 whose order has a prime factor above
+        DISCRETE_LOG_PRIME_LIMIT."""
         q2 = p.q * p.q
+        if p.e is not None:
+            largest = max(factorint(p.e), default=1)
+            if largest > DISCRETE_LOG_PRIME_LIMIT:
+                raise MultichargeScopeError(
+                    f"q^2 has order {p.e}, whose prime factor {largest} is above "
+                    f"{DISCRETE_LOG_PRIME_LIMIT}: the charges are discrete logs in a "
+                    "group of that prime order, out of reach")
         charges = []
         for uj in p.u:
             found = None

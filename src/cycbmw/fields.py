@@ -18,6 +18,7 @@ Fractions), reduces each sum once at the end and drops the cancelled keys.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
@@ -152,12 +153,19 @@ class Field:
 
     def parse(self, s: str):
         s = s.strip()
-        if self.kind == PRIME_FIELD:
-            return int(s, 10) % self.p
         try:
-            return Fraction(s)
+            return int(s, 10) % self.p if self.kind == PRIME_FIELD else Fraction(s)
         except ZeroDivisionError:
             raise FieldError(f"zero denominator in {s!r}") from None
+        except ValueError:
+            # Python refuses a decimal string of more than
+            # sys.get_int_max_str_digits() digits: say so in this parser's terms
+            limit = sys.get_int_max_str_digits()
+            digits = max(sum(ch.isdigit() for ch in part) for part in s.split("/"))
+            if limit and digits > limit:
+                raise FieldError(f"a value of {digits} digits exceeds the limit of "
+                                 f"{limit} digits") from None
+            raise
 
     # -- element factory ----------------------------------------------------
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .fields import Field, FieldElement, multiplicative_order
 
@@ -306,6 +306,15 @@ _PARAMETER_KEYS = ("field", "q", "rho", "r", "u", "admissible", "omega")
 _FLAG_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def parse_scalars(field: Field, values: Sequence[str], where: str) -> List[FieldElement]:
+    """The strings `values` as elements of `field`; a malformed one is
+    refused with `where` (a flag, or a file key and its line) in front."""
+    try:
+        return [field(s) for s in values]
+    except ValueError as exc:
+        raise ParameterError(f"{where}: {exc}") from None
+
+
 def parse_parameter_file(text: str) -> ParameterSet:
     entries, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -339,8 +348,12 @@ def parse_parameter_file(text: str) -> ParameterSet:
         raise ParameterError(f"admissible must be one of {'/'.join(_FLAG_VALUES)}, "
                              f"got {flag!r}")
     admissible = _FLAG_VALUES[flag]
+
+    def scalars(key, values):
+        return parse_scalars(field, values, f"line {line_of[key]}: {key}")
+
     omegas = None
     if "omega" in entries:
-        omegas = [s.strip() for s in entries["omega"].split(",") if s.strip()]
-    return ParameterSet(field, entries["q"], entries["rho"], u,
-                        admissible=admissible, omegas=omegas)
+        omegas = scalars("omega", [s.strip() for s in entries["omega"].split(",") if s.strip()])
+    (q,), (rho,) = scalars("q", [entries["q"]]), scalars("rho", [entries["rho"]])
+    return ParameterSet(field, q, rho, scalars("u", u), admissible=admissible, omegas=omegas)

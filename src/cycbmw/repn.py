@@ -17,9 +17,15 @@ eps^2 = eps is read from the same matrix.
 Idempotents are cut by one step, `_split(S, w, e)`, along the coprime
 primary factors of the minimal polynomial of w in e S e (the finite-field
 splitting of Ronyai 1990): all parts refine the central idempotents, the
-first refines a block's idempotent towards a primitive one.  The
-semisimple quotient is built, like corners and the center algebra, from
-right multiplication matrices, one table column per matrix.
+first refines a block's idempotent towards a primitive one.  Over GF(p)
+the minimal polynomial is factored here, on lists of Python ints
+(distinct-degree factorization, each factor divided out as often as it
+divides, and Cantor-Zassenhaus equal-degree splitting), and its factors
+are sorted by sympy's key for factors over FF(p), so the order of the
+idempotents does not depend on the installed sympy; over Q the factors
+are sympy's.  The semisimple quotient is built, like corners and the
+center algebra, from right multiplication matrices, one table column per
+matrix.
 
 Every module is a `ModuleRep`: a row basis in the quotient's coordinates.
 The truncation M e (the Schur functor to the corner e A e, Green 1980,
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -196,33 +203,165 @@ def center(S: StructureAlgebra) -> np.ndarray:
     return nullspace(equations, S.dim, f)
 
 
-def _sympy_poly(coeffs, f: Field):
-    dom = {"modulus": f.p} if f.kind == PRIME_FIELD else {"domain": "QQ"}
-    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], sympy.Symbol("x"), **dom)
+# -- polynomials: ascending lists of raw values without trailing zeros ----------
+# (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3 and 14)
+
+def _inverse(c, f: Field):
+    return pow(c, -1, f.p) if f.p else 1 / c
+
+
+def _poly_reduce(a, f: Field):
+    """a with its coefficients reduced (over GF(p)) and trailing zeros dropped."""
+    if f.p:
+        a = [c % f.p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_sub(a, b, f: Field):
+    n = max(len(a), len(b))
+    return _poly_reduce([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                         for i in range(n)], f)
+
+
+def _poly_product(a, b):
+    """a b with its coefficients left unreduced."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b, f: Field):
+    """(quotient, remainder) of a, its coefficients maybe unreduced, by b != 0."""
+    db, p = len(b) - 1, f.p
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    inv = _inverse(b[-1], f)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv
+        c = q[k] = c % p if p else c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return _poly_reduce(q, f), _poly_reduce(r[:db], f)
+
+
+def _poly_mod(a, b, f: Field):
+    return _poly_divmod(a, b, f)[1]
+
+
+def _poly_gcd(a, b, f: Field):
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _poly_mod(a, b, f)
+    inv = _inverse(a[-1], f)
+    return _poly_reduce([c * inv for c in a], f)
+
+
+def _poly_invmod(a, m, f: Field):
+    """a^-1 mod m for a coprime to m: the extended Euclidean algorithm keeps
+    r_i = s_i a mod m, and its last nonzero r_i is a constant."""
+    r0, r1, s0, s1 = m, _poly_mod(a, m, f), [], [f.one()]
+    while r1:
+        q, r = _poly_divmod(r0, r1, f)
+        r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_product(q, s1), f)
+    inv = _inverse(r0[0], f)
+    return _poly_reduce([c * inv for c in s0], f)
+
+
+def _poly_powmod(a, e: int, m, f: Field):
+    """a^e mod m, by left-to-right binary powering (cheap for a linear a)."""
+    out = [f.one()]
+    for bit in bin(e)[2:]:
+        out = _poly_mod(_poly_product(out, out), m, f)
+        if bit == "1":
+            out = _poly_mod(_poly_product(out, a), m, f)
+    return out
+
+
+def _gfp_equal_degree(s, d: int, f: Field, rng: random.Random):
+    """The factors of the monic squarefree s, all irreducible of degree d
+    (Cantor & Zassenhaus 1981): gcd(s, a^((p^d-1)/2) - 1), for p = 2
+    gcd(s, a + a^2 + ... + a^(2^(d-1))), for random a; x + c suffices for
+    linear factors and is cheap to power."""
+    n, p = len(s) - 1, f.p
+    if n == d:
+        return [s]
+    while True:
+        a = _poly_reduce([rng.randrange(p), 1] if d == 1 else
+                         [rng.randrange(p) for _ in range(n)], f)
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = _poly_mod(_poly_product(t, t), s, f)
+                b = _poly_sub(b, t, f)           # subtracting is adding over GF(2)
+        else:
+            b = _poly_sub(_poly_powmod(a, (p**d - 1) // 2, s, f), [1], f)
+        part = _poly_gcd(s, b, f)
+        if 1 < len(part) <= n:
+            return (_gfp_equal_degree(part, d, f, rng)
+                    + _gfp_equal_degree(_poly_divmod(s, part, f)[0], d, f, rng))
+
+
+def _gfp_factors(g, f: Field):
+    """(irreducible monic factor, multiplicity) pairs of the monic g over
+    GF(p), sorted by the key of sympy's `_sort_factors`.  Round d takes the
+    factors of degree d from gcd(g, x^(p^d) - x), which is squarefree, and
+    divides them out of g as often as they divide it; once deg g < 2(d + 1)
+    what is left is irreducible.  The seeded random choices of the split
+    change only the time: the factorization is unique."""
+    rng = random.Random(DEFAULT_SEED)
+    x, h, d, out = [0, 1], [0, 1], 0, []
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _poly_powmod(h, f.p, g, f)
+        part = _poly_gcd(g, _poly_sub(h, x, f), f)
+        if len(part) > 1:
+            for e in _gfp_equal_degree(part, d, f, rng):
+                k, (q, r) = 0, _poly_divmod(g, e, f)
+                while not r:
+                    k, g = k + 1, q
+                    q, r = _poly_divmod(g, e, f)
+                out.append((e, k))
+            h = _poly_mod(h, g, f)
+    if len(g) > 1:
+        out.append((g, 1))
+    return sorted(out, key=lambda t: (len(t[0]), t[1], t[0][::-1]))
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], sympy.Symbol("x"),
+                      domain="QQ")
 
 
 def _coprime_idempotent_polys(mp_coeffs, f: Field):
     """Polynomials h_a with h_a = 1 mod primary factor a, 0 mod the rest,
-    as ascending raw coefficients.
+    as ascending raw coefficients, in the order of the irreducible factors.
 
-    Empty list when the minimal polynomial is primary (no split there),
-    which a linear one always is."""
+    Over GF(p) the factors are our own (`_gfp_factors`), sorted by the key
+    of sympy's `Poly.factor_list` over FF(p): (degree, multiplicity, monic
+    coefficients as residues 0..p-1 from the top); over Q they are sympy's,
+    in its order.  Each h_a = rest_a (rest_a^-1 mod p_a) mod mp, rest_a the
+    product of the other primaries.  Empty list when the minimal polynomial
+    is primary (no split there), which a linear one always is."""
     if len(mp_coeffs) <= 2:
         return []
-    poly = _sympy_poly(mp_coeffs, f)
-    _, factors = poly.factor_list()
+    if f.kind == PRIME_FIELD:
+        mp = [int(c) for c in mp_coeffs]
+        factors = _gfp_factors(mp, f)
+    else:
+        mp = list(mp_coeffs)
+        factors = [([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())], k)
+                   for g, k in _sympy_poly(mp).factor_list()[1]]
     if len(factors) < 2:
         return []
-    primaries = [fac**mult for fac, mult in factors]
     out = []
-    for a, pa in enumerate(primaries):
-        rest = poly.one
-        for b, pb in enumerate(primaries):
-            if b != a:
-                rest = rest * pb
-        h = (rest * sympy.invert(rest, pa)) % poly
-        out.append([f.div(f.of_int(int(c.p)), f.of_int(int(c.q)))
-                    for c in reversed(h.all_coeffs())])
+    for g, k in factors:
+        pa = _poly_powmod(g, k, mp, f)      # g^k itself, of degree below mp's
+        rest = _poly_divmod(mp, pa, f)[0]   # over Q up to a constant, which cancels
+        out.append(_poly_mod(_poly_product(rest, _poly_invmod(rest, pa, f)), mp, f))
     return out
 
 

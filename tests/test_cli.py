@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
 from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.cli import _parameters_from_args, main, make_parser
-from cycbmw.fields import QQ
+from cycbmw.fields import GF, QQ
 from cycbmw.params import ParameterSet
 from cycbmw.presentation import build_algebra, dumps_algebra
 
@@ -116,6 +117,39 @@ def test_classify_cyclotomic_refuses_fast_near_2_31(capsys):
     assert code == 1 and "power of q^2" in err
 
 
+def test_classify_cyclotomic_refuses_a_discrete_log_of_huge_prime_order(capsys):
+    # p - 1 = 2 * 1152921504606845789: q^2 = 9 generates the subgroup of
+    # that prime order, where sympy's discrete_log runs Pollard rho
+    p = 2305843009213691579
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                         "--field", f"gfp:{p}", "--q", "3", "--u", str(pow(9, 123456789, p)))
+    assert code == 1 and not out and "prime factor 1152921504606845789" in err, err
+
+
+# one digit more than Python converts from a decimal string (4300 by default)
+_LIMIT = sys.get_int_max_str_digits()
+_OVER_LONG = "1" + "0" * _LIMIT
+
+
+@pytest.mark.parametrize("flag", ["--u", "--q", "--rho"])
+def test_classify_names_the_flag_of_an_over_long_rational(capsys, flag):
+    values = {"--q": "2", "--u": "4", "--rho": "1", flag: _OVER_LONG}
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                         "--field", "q", *(x for kv in values.items() for x in kv))
+    assert code == 1 and not out
+    assert err.startswith(f"error: {flag}: a value of {_LIMIT + 1} digits exceeds "
+                          f"the limit of {_LIMIT} digits"), err
+
+
+def test_classify_names_the_file_key_of_an_over_long_rational(tmp_path, capsys):
+    f = tmp_path / "long.params"
+    f.write_text(f"field = q\nq = 2\nrho = 1\n# charge\nu = {_OVER_LONG}\n")
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                         "--params", str(f))
+    assert code == 1 and not out
+    assert err.startswith(f"error: line 5: u: a value of {_LIMIT + 1} digits"), err
+
+
 def test_build_refuses_n_beyond_the_generator_bytes(capsys):
     code, out, err = run(capsys, "build", "--n", "200", "--field", "gfp:101",
                          "--q", "2", "--u", "4")
@@ -183,6 +217,21 @@ def test_analyze_roundtrip(tmp_path, capsys):
 
 # sha256 of the `cycbmw analyze` JSON of the four GF(101) instances of the
 # analyze benchmark and of Q B(1,3): (n, parameters, variant, digest)
+def _generic_over(field, r):
+    """perfbench/instances.generic_over, written out: q = 2, u_i = q^(2 + 8i),
+    rho = (alpha prod u)^-1 with alpha = 1 for odd r, q^-1 for even r."""
+    q = field(2)
+    u = [(q * q) ** (1 + 4 * i) for i in range(r)]
+    prod = field(1)
+    for x in u:
+        prod = prod * x
+    alpha = field(1) if r % 2 else q.inv()
+    return ParameterSet(field, q, (alpha * prod).inv(), u, admissible=True)
+
+
+# The digests of the word-size and object-dtype primes and of GF(5) B(1,3),
+# whose minimal polynomials have a square and an irreducible quadratic
+# factor, were recorded with sympy's factoring, before the GF(p) kernel.
 ANALYZE_PINS = {
     "gf101_b14": (4, lambda: generic_parameters(1), "bmw",
                   "5052199dbbabea931366f4a0340bdc211c91f423bf9abf81de95abef9201fc2e"),
@@ -194,6 +243,12 @@ ANALYZE_PINS = {
                   "d205659c56b96336ff01d1c7b5ca0aa20ea0d74cbecdc14a2ff3fc06194fe33d"),
     "q_b13": (3, lambda: ParameterSet(QQ, 2, 1, [1], admissible=True), "bmw",
               "c0fef064ff772313d2c14386a8cdeb75fa66cad59cf6c1b536058b52a67a9f88"),
+    "gf2p31_b32": (2, lambda: _generic_over(GF(2**31 - 1), 3), "bmw",
+                   "850c19ebc8ec737c128fffd68feab3cc1419018b1c0956997f7bc9667fc4b39a"),
+    "gf2p61_b32": (2, lambda: _generic_over(GF(2**61 - 1), 3), "bmw",
+                   "71c118e05d3fd52080005aa8fa76bf598130b51c70eaf2843b8c4b5fddf1d79c"),
+    "gf5_b13": (3, lambda: _generic_over(GF(5), 1), "bmw",
+                "7ca1a6a9e48f2b6eb2891c003d60108e5fc726cba643a837962c907cca5e3763"),
 }
 
 

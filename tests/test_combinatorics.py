@@ -5,7 +5,7 @@ import pytest
 
 from cycbmw.fields import GF, QQ
 from cycbmw.params import ParameterSet, admissible_rho
-from cycbmw.combinatorics import (IndexPair, IndexPoset, Multicharge,
+from cycbmw.combinatorics import (DISCRETE_LOG_PRIME_LIMIT, IndexPair, IndexPoset, Multicharge,
                                   MultichargeScopeError, classify_affine,
                                   classify_cyclotomic, dominates, e_restricted,
                                   enumerate_aperiodic, enumerate_index_poset,
@@ -112,6 +112,18 @@ def test_multicharge_by_discrete_log_near_2_31():
     assert mc.e == 357_913_941 and mc.charges == (123456789,)
     with pytest.raises(MultichargeScopeError):
         Multicharge.from_parameters(params(G(5)))
+
+
+def test_multicharge_refuses_a_prime_order_above_the_discrete_log_limit():
+    # p - 1 = 10 * 1,000,000,000,039, the first prime above the limit, which
+    # divides the order of q^2 = 4: no discrete log is tried
+    G = GF(10_000_000_000_391)
+    q = G(2)
+    u = (q * q) ** 12345
+    p = ParameterSet(G, q, admissible_rho(q, [u]), [u], admissible=True)
+    assert p.e % 1_000_000_000_039 == 0 and 1_000_000_000_039 > DISCRETE_LOG_PRIME_LIMIT
+    with pytest.raises(MultichargeScopeError, match="prime factor 1000000000039 "):
+        Multicharge.from_parameters(p)
 
 
 def test_multicharge_over_q_is_exact():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,18 @@ def test_parse_rejects_zero_denominator():
             QQ.parse(s)
         with pytest.raises(FieldError, match="zero denominator"):
             QQ(s)
+
+
+def test_parse_names_the_digit_limit():
+    # Python converts at most sys.get_int_max_str_digits() decimal digits
+    limit = sys.get_int_max_str_digits()
+    for field in (QQ, GF(101)):
+        with pytest.raises(FieldError, match=f"a value of {limit + 1} digits exceeds "
+                                             f"the limit of {limit} digits"):
+            field.parse("1" + "0" * limit)
+    assert QQ.parse("1" + "0" * (limit - 1) + "/3") == Fraction(10 ** (limit - 1), 3)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        QQ.parse("1/x")
 
 
 def test_descriptor_mismatch():

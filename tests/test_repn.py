@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from cycbmw.acceptance import semi_parameters
 from cycbmw.fields import GF, QQ
@@ -222,6 +224,75 @@ def test_quadratic_minimal_polynomial_splits():
             return acc
         values = sorted((at(h, 1), at(h, -1)) for h in hs)
         assert values == sorted([(f.zero(), f.one()), (f.one(), f.zero())])
+
+
+def _sympy_coprime_idempotent_polys(mp_coeffs, f):
+    """The h lists from sympy's factoring and its `invert`, as computed before
+    the GF(p) kernel: the oracle for `_coprime_idempotent_polys`."""
+    if len(mp_coeffs) <= 2:
+        return []
+    dom = {"modulus": f.p} if f.p else {"domain": "QQ"}
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(mp_coeffs)], sympy.Symbol("x"), **dom)
+    _, factors = poly.factor_list()
+    if len(factors) < 2:
+        return []
+    primaries = [fac**mult for fac, mult in factors]
+    out = []
+    for a, pa in enumerate(primaries):
+        rest = poly.one
+        for b, pb in enumerate(primaries):
+            if b != a:
+                rest = rest * pb
+        h = (rest * sympy.invert(rest, pa)) % poly
+        out.append([f.div(f.of_int(int(c.p)), f.of_int(int(c.q)))
+                    for c in reversed(h.all_coeffs())])
+    return out
+
+
+ORACLE_FIELDS = [GF(p) for p in (2, 3, 5, 7, 13, 101, 65521, 2**31 - 1, 2**61 - 1)] + [QQ]
+
+
+@st.composite
+def _factor_products(draw):
+    """(field, ascending coefficients of a monic product): linear and
+    irreducible factors of degree 2 or 3 with multiplicities, and over GF(p)
+    for p <= 7 a p-th power, whose derivative vanishes."""
+    f = draw(st.sampled_from(ORACLE_FIELDS))
+    x = sympy.Symbol("x")
+    dom = {"modulus": f.p} if f.p else {"domain": "QQ"}
+    coeff = (st.integers(0, f.p - 1) if f.p else
+             st.fractions(min_value=-4, max_value=4, max_denominator=3).map(sympy.Rational))
+
+    def monic(degree):
+        return st.lists(coeff, min_size=degree, max_size=degree).map(
+            lambda cs: sympy.Poly([1, *cs], x, **dom))
+
+    linear = st.tuples(monic(1), st.integers(1, 3))
+    irreducible = st.tuples(st.integers(2, 3).flatmap(monic).filter(
+        lambda g: g.is_irreducible), st.integers(1, 2))
+    kinds = [linear, irreducible]
+    if 0 < f.p <= 7:
+        kinds.append(st.tuples(monic(1), st.just(f.p)))
+    poly = sympy.Poly(1, x, **dom)
+    for g, k in draw(st.lists(st.one_of(kinds), min_size=1, max_size=4)):
+        poly = poly * g**k
+    return f, [f(Fraction(int(c.p), int(c.q))).value for c in reversed(poly.all_coeffs())]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_factor_products())
+def test_idempotent_polys_match_sympy(case):
+    f, mp = case
+    assert _coprime_idempotent_polys(mp, f) == _sympy_coprime_idempotent_polys(mp, f)
+
+
+def test_gfp_split_never_asks_sympy_to_factor(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("sympy asked to factor over GF(p)")
+    monkeypatch.setattr(sympy.Poly, "factor_list", boom)
+    A = build_algebra(3, semi_parameters())
+    rep = wedderburn(A, radical(A))
+    assert rep.split and rep.block_dims_sorted() == [3, 3, 3, 2, 2, 1, 1, 1, 1]
 
 
 def test_group_algebra_s3_rational():
@@ -604,7 +675,8 @@ def _analysis_digest():
     """sha256 over the radical rows, central and primitive idempotents and
     simple-module rows of GF(101) semi B(2,3) and Q B(1,3).  The pinned
     value was recorded with the per-entry quotient and the Horner split;
-    sympy's factor order fixes the order of the idempotents."""
+    the factor order (sympy's over Q, its key over GF(p)) fixes the order
+    of the idempotents."""
     h = hashlib.sha256()
     for A in (build_algebra(3, semi_parameters()),
               build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True))):
