@@ -23,7 +23,7 @@ from .presentation import (E, StructureAlgebra, build_algebra, check_omega_relat
                            semi_admissibility_degree, truncation_idempotent)
 from .repn import (DEFAULT_SEED, functor_grading_check, radical, simple_modules,
                    wedderburn)
-from .combinatorics import (Multicharge, classify_affine, classify_cyclotomic,
+from .combinatorics import (Multicharge, classify_affine, simple_count,
                             dominates, e_restricted, enumerate_aperiodic,
                             enumerate_multipartitions, enumerate_multisegments,
                             is_aperiodic, is_kleshchev, partitions)
@@ -188,11 +188,10 @@ def _crit_simples(ctx: Context) -> Tuple[bool, str]:
     for (r, n) in DIMENSION_TARGETS:
         p = generic_parameters(r)
         rep = ctx.analysis(r, n)
-        mc = Multicharge.from_parameters(p)
-        cls = classify_cyclotomic(p, mc, n)
-        match = rep.split and len(rep.blocks) == len(cls)
+        count = simple_count(p, n)
+        match = rep.split and len(rep.blocks) == count
         ok = ok and match
-        notes.append(f"B_{{{r},{n}}}: {len(rep.blocks)} blocks vs {len(cls)} "
+        notes.append(f"B_{{{r},{n}}}: {len(rep.blocks)} blocks vs {count} "
                      f"(split={rep.split})")
     rep12 = ctx.analysis(1, 2)
     rep13 = ctx.analysis(1, 3)
@@ -211,8 +210,7 @@ def _crit_functor(ctx: Context) -> Tuple[bool, str]:
     rep = ctx.analysis(1, 3)
     simples = simple_modules(A, rep)
     fr = functor_grading_check(C, simples, e, seed=ctx.seed)
-    cls = classify_cyclotomic(p, Multicharge.from_parameters(p), 3)
-    f0 = sum(1 for ent in cls if ent.f == 0)
+    f0 = simple_count(p, 3, contraction_free=True)
     ok = (fr.annihilated == f0 == 3 and len(fr.survivors) == 1
           and fr.survivors[0] == (1, True))
     return ok, (f"annihilated {fr.annihilated} (f=0 count {f0}), "

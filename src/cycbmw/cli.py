@@ -4,6 +4,10 @@ Commands: build, classify, analyze, semiadmissible, verify.  Outputs are
 canonical (sorted JSON keys, RFC-4180 CSV, no timestamps), so identical
 invocations produce byte-identical files.  Exit codes: 0 success, 1
 validation or mathematical failure, 2 resource/cap failure.
+
+The parameter flags are the keys of a parameter file, and are read by the
+same function (`params.read_parameters`); only --params and the flags'
+own checks are here.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ import json
 import sys
 from typing import List, Optional
 
-from .fields import Field
-from .params import ParameterSet, admissible_rho, parse_parameter_file, parse_scalars
+from .params import ParameterSet, parse_parameter_file, read_parameters
 from .presentation import (build_algebra, dumps_algebra, load_algebra,
                            semi_admissibility_degree)
 from .repn import DEFAULT_SEED, AnalysisError, radical, wedderburn
 from .rewriting import CompletionError
 from .combinatorics import (Multicharge, MultichargeScopeError, affine_rows,
-                            classify_affine, classify_cyclotomic, cyclotomic_rows)
+                            classify_affine, classify_cyclotomic, cyclotomic_rows,
+                            simple_count)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,7 +52,7 @@ def _add_param_flags(sp):
     sp.add_argument("--rho", help="the twist scalar; derived from u when "
                                   "--admissible is set and --rho is omitted")
     sp.add_argument("--u", help="comma list of cyclotomic roots u_1,..,u_r")
-    sp.add_argument("--r", type=int, help="number of roots (checked against --u)")
+    sp.add_argument("--r", help="number of roots (checked against --u)")
     sp.add_argument("--admissible", action="store_true", default=None)
     sp.add_argument("--no-admissible", dest="admissible", action="store_false")
     sp.add_argument("--omega", help="comma list omega_1..omega_{r-1} for "
@@ -67,6 +71,9 @@ def _given(args, dests) -> List[str]:
 
 
 def _parameters_from_args(args) -> ParameterSet:
+    """The parameter set of --params, or of the inline flags, read as the
+    entries of a parameter file (`read_parameters`), each refusal naming
+    its flag."""
     if args.params and _given(args, _PARAM_DESTS):
         raise CliError("--params and inline parameter flags are mutually exclusive")
     if args.params:
@@ -74,27 +81,11 @@ def _parameters_from_args(args) -> ParameterSet:
             return parse_parameter_file(fh.read())
     if args.field is None or args.q is None or args.u is None:
         raise CliError("need --params or at least --field, --q and --u")
-    field = Field.from_descriptor(args.field)
-    u = [s.strip() for s in args.u.split(",") if s.strip()]
-    if not u:
-        raise CliError("malformed --u list")
-    if args.r is not None and args.r != len(u):
-        raise CliError(f"--r {args.r} does not match {len(u)} u-values")
-    u = parse_scalars(field, u, "--u")
-    (q,) = parse_scalars(field, [args.q], "--q")
-    admissible = True if args.admissible is None else args.admissible
-    omegas = None
-    if args.omega:
-        omegas = parse_scalars(field, [s.strip() for s in args.omega.split(",") if s.strip()],
-                               "--omega")
-    if args.rho is not None:
-        (rho,) = parse_scalars(field, [args.rho], "--rho")
-    elif not admissible:
-        raise CliError("--rho is required for non-admissible parameters")
-    else:
-        # derive rho from the first allowed alpha: rho^{-1} = alpha prod(u)
-        rho = admissible_rho(q, u)
-    return ParameterSet(field, q, rho, u, admissible=admissible, omegas=omegas)
+    # a missing --rho stays missing: an admissible set derives it
+    entries = {d: getattr(args, d) for d in _PARAM_DESTS if getattr(args, d) is not None}
+    if args.admissible is not None:
+        entries["admissible"] = "true" if args.admissible else "false"
+    return read_parameters(entries, lambda key: f"--{key}")
 
 
 def _emit(text: str, out: Optional[str]):
@@ -191,13 +182,7 @@ def cmd_analyze(args) -> int:
     rep = wedderburn(A, radical(A), seed=args.seed)
     count = match = None
     try:
-        mc = Multicharge.from_parameters(A.params)
-        cls = classify_cyclotomic(A.params, mc, A.n)
-        if A.variant == "ariki_koike":
-            # the Hecke quotient only sees the contraction-free layer
-            count = sum(1 for ent in cls if ent.f == 0)
-        else:
-            count = len(cls)
+        count = simple_count(A.params, A.n, contraction_free=A.variant == "ariki_koike")
         match = rep.split and len(rep.blocks) == count
     except MultichargeScopeError as exc:
         rep.caveats.append(f"no classification count: {exc}")

@@ -3,7 +3,9 @@
 Multipartitions with dominance, the index posets over (f, lambda) pairs,
 Kleshchev multipartitions via the good-node crystal recursion, aperiodic
 multisegments, and the two classification enumerations (affine via
-multisegments, cyclotomic via Kleshchev multipartitions).
+multisegments, cyclotomic via Kleshchev multipartitions).  Both range f
+over `contraction_range`, and every count of simples compared with
+Wedderburn blocks is `simple_count`.
 
 Conventions, fixed once for reproducibility:
   * the node in row a, column b of component c has residue
@@ -416,46 +418,47 @@ class AffineEntry:
                          # a necessary label only
 
 
+def contraction_range(n: int, omega_all_zero: bool) -> range:
+    """The contraction degrees f of the index pairs: all of 0..n//2, but
+    strictly below n/2 when every omega vanishes and n is even."""
+    return range(n // 2 if omega_all_zero and n % 2 == 0 else n // 2 + 1)
+
+
 def classify_affine(n: int, e: Optional[int], omega_all_zero: bool,
                     window: Optional[Tuple[int, int]] = None) -> List[AffineEntry]:
-    """Index pairs (f, aperiodic multisegment of n - 2f).
-
-    When the whole omega-sequence vanishes and n is even, f = n/2 drops
-    out.  Entries with 0 < f < n//2 carry established=False: membership is
-    necessary but not proven sufficient without an admissibility witness.
+    """Index pairs (f, aperiodic multisegment of n - 2f), f in
+    `contraction_range`.  Entries with 0 < f < n//2 carry
+    established=False: membership is necessary but not proven sufficient
+    without an admissibility witness.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = []
-    for f in range(n // 2 + 1):
-        if omega_all_zero and n % 2 == 0 and f == n // 2:
-            continue
+    for f in contraction_range(n, omega_all_zero):
         for ms in enumerate_aperiodic(e, n - 2 * f, window=window):
             out.append(AffineEntry(f, ms, established=(f == 0 or f == n // 2)))
     return out
 
 
 def classify_cyclotomic(p: ParameterSet, mc: Multicharge, n: int) -> List[IndexPair]:
-    """Index pairs (f, lambda) with lambda Kleshchev of n - 2f.
-
-    The contraction range follows the omega-vanishing case split: all of
-    0..n//2 normally, but strictly below n/2 when every omega vanishes and
-    n is even."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """Index pairs (f, lambda) of `enumerate_index_poset` with f in
+    `contraction_range` and lambda Kleshchev of n - 2f."""
+    pairs = enumerate_index_poset(p.r, n)
     if not mc.consistent_with(p):
         raise MultichargeScopeError(
             "multicharge is inconsistent with the parameter set "
             "(level, e, or u_j != q^{2 s_j})")
-    all_zero, _ = omega_vanishing_report(p)
-    out = []
-    for f in range(n // 2 + 1):
-        if all_zero and n % 2 == 0 and f == n // 2:
-            continue
-        for lam in enumerate_multipartitions(p.r, n - 2 * f):
-            if is_kleshchev(lam, mc):
-                out.append(IndexPair(f, lam))
-    return out
+    fs = contraction_range(n, omega_vanishing_report(p)[0])
+    return [pair for pair in pairs if pair.f in fs and is_kleshchev(pair.lam, mc)]
+
+
+def simple_count(p: ParameterSet, n: int, contraction_free: bool = False) -> int:
+    """The number of index pairs `classify_cyclotomic` finds for the
+    multicharge of p, or with `contraction_free` of those with f = 0: the
+    simples of the Ariki-Koike quotient, the ones the truncation functor
+    kills."""
+    pairs = classify_cyclotomic(p, Multicharge.from_parameters(p), n)
+    return sum(1 for pair in pairs if not contraction_free or pair.f == 0)
 
 
 # -- diff-stable table emitters ---------------------------------------------------------

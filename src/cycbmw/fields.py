@@ -83,9 +83,13 @@ class Field:
         s = s.strip()
         if s == "q":
             return QQ
-        if s.startswith("gfp:"):
-            return Field(PRIME_FIELD, int(s[4:]))
-        raise FieldError(f"unknown field descriptor {s!r}")
+        try:
+            p = int(s[4:]) if s.startswith("gfp:") else None
+        except ValueError:
+            p = None
+        if p is None:
+            raise FieldError(f"unknown field descriptor {s!r}")
+        return Field(PRIME_FIELD, p)
 
     # -- raw arithmetic -----------------------------------------------------
     # Raw values: int residue in 0..p-1 for GF(p), Fraction for Q.

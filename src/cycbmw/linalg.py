@@ -12,7 +12,8 @@ integer numerators over one common denominator per operand
 through one batched kernel, `echelon`: the reduced echelon form of a whole
 matrix, unique and so deterministic.  It backs `EchelonSpan`, `RowBasis`,
 `nullspace` and the row rank profile (`rank_profile`); only
-`EchelonSpan.insert` grows a span one row at a time.
+`EchelonSpan.insert` grows a span one row at a time.  The weighted
+scatter over a product table is `presentation.StructureAlgebra._gather`'s.
 
 Every function returns arrays, a row set one 2-D array also when it has no
 rows; the entry points coerce their input once (`as_array`), lists too.
@@ -83,15 +84,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     for s in range(0, a.shape[-1], chunk):
         acc = (acc + a[..., s:s + chunk] @ b[s:s + chunk]) % m
     return acc
-
-
-def scatter_add(index, values, size: int, m: int) -> np.ndarray:
-    """Vector of length `size` holding the sum of `values` at each `index`,
-    reduced mod m.  The values need not be reduced: the caller bounds their
-    total below 2^63, so that no int64 sum overflows."""
-    out = zeros(size, m)
-    np.add.at(out, index, values)
-    return reduce_mod(out, m)
 
 
 def runs(start: np.ndarray, rows: np.ndarray):
@@ -204,15 +196,9 @@ class EchelonSpan:
     def residual(self, v: np.ndarray, cols) -> np.ndarray:
         """Columns `cols` of the residual of v, a reduced array, modulo the
         span: v[..., cols] - v[..., pivots].rows[:, cols], as a new array, v
-        neither coerced nor copied first.  Over Q it is
-        (N_v[..., cols] d_r - N_v[..., pivots] N_r) / (d_v d_r) on the
-        integer numerators."""
+        neither coerced nor copied first."""
         m = self.field.p
-        rows = self.rows[:, cols]
-        if not m:
-            (nv, dv), (nr, dr) = fraction_free(v), fraction_free(rows)
-            return from_fraction_free(nv[..., cols] * dr - nv[..., self.pivots] @ nr, dv * dr)
-        return reduce_mod(v[..., cols] - matmul_mod(v[..., self.pivots], rows, m), m)
+        return reduce_mod(v[..., cols] - matmul_mod(v[..., self.pivots], self.rows[:, cols], m), m)
 
     def insert(self, v) -> bool:
         """Add v to the span; True if the dimension grew."""

@@ -15,18 +15,24 @@ two-sided sequence omega_a = sum_j u_j^a gamma_j is evaluated exactly.
 Non-admissible sets are allowed too (they drive the semi-admissible and
 degenerate regimes): for those the values omega_1..omega_{r-1} must be
 supplied explicitly, and higher/lower indices follow the linear recurrence
-induced by the vanishing of prod (x - u_j).
+induced by the vanishing of prod (x - u_j).  Its coefficients, x^r =
+sum_k c_k x^k, are held once (`ParameterSet.x_power`): the cyclotomic
+relation of the presentation reads them too.
 
 Always, independent of admissibility:
 
     delta = q - q^{-1} != 0,          omega_0 = 1 - delta^{-1}(rho - rho^{-1}).
+
+A parameter file and the CLI's inline flags are read by one function,
+`read_parameters`, from key -> string entries; its refusals name the
+entry, "line N: key" in a file and "--key" for a flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .fields import Field, FieldElement, multiplicative_order
 
@@ -95,6 +101,9 @@ class ParameterSet:
         self.omega0 = field(1) - self.delta.inv() * (self.rho - self.rho.inv())
         self.e = multiplicative_order(self.q * self.q)
         self.sigma = _elementary_symmetric(list(self.u))
+        # x^r = sum_{k<r} c_k x^k modulo prod (x - u_j): c_k = (-1)^(r-k-1) sigma_{r-k}
+        self.x_power = [self.sigma[self.r - k] if (self.r - k) % 2 else -self.sigma[self.r - k]
+                        for k in range(self.r)]
         self.admissible = bool(admissible)
         self._omega_cache = {0: self.omega0}
         self.alpha: Optional[FieldElement] = None
@@ -202,26 +211,23 @@ def omega(p: ParameterSet, a: int) -> FieldElement:
             val = val + uj**a * gj
         cache[a] = val
         return val
-    r, sig = p.r, p.sigma
+    r, c = p.r, p.x_power
     if a > 0:
-        # omega_{b+r} = sum_{k<r} (-1)^{r-k-1} sigma_{r-k} omega_{b+k}
+        # omega_{b+r} = sum_{k<r} c_k omega_{b+k}
         top = max(cache)
         for b in range(top - r + 1, a - r + 1):
             val = p.field(0)
             for k in range(r):
-                term = sig[r - k] * omega(p, b + k)
-                val = val + (term if (r - k - 1) % 2 == 0 else -term)
+                val = val + c[k] * omega(p, b + k)
             cache[b + r] = val
         return cache[a]
-    # downward: omega_b = (omega_{b+r} - sum_{0<k<r} ...) / ((-1)^{r-1} sigma_r)
-    lead = sig[r] if (r - 1) % 2 == 0 else -sig[r]
+    # downward: omega_b = (omega_{b+r} - sum_{0<k<r} c_k omega_{b+k}) / c_0
     bot = min(cache)
     for b in range(bot - 1, a - 1, -1):
         val = omega(p, b + r)
         for k in range(1, r):
-            term = sig[r - k] * omega(p, b + k)
-            val = val - (term if (r - k - 1) % 2 == 0 else -term)
-        cache[b] = val / lead
+            val = val - c[k] * omega(p, b + k)
+        cache[b] = val / c[0]
     return cache[a]
 
 
@@ -306,13 +312,48 @@ _PARAMETER_KEYS = ("field", "q", "rho", "r", "u", "admissible", "omega")
 _FLAG_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def parse_scalars(field: Field, values: Sequence[str], where: str) -> List[FieldElement]:
-    """The strings `values` as elements of `field`; a malformed one is
-    refused with `where` (a flag, or a file key and its line) in front."""
-    try:
-        return [field(s) for s in values]
-    except ValueError as exc:
-        raise ParameterError(f"{where}: {exc}") from None
+def _comma_list(text: str) -> List[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def read_parameters(entries: Dict[str, str], where: Callable[[str], str]) -> ParameterSet:
+    """The parameter set written by `entries`, key -> string as in a
+    parameter file (field, q and u, and any of rho, r, admissible, omega).
+    Every refusal of an entry puts `where(key)` in front: its flag, or its
+    line and key in a file.  An admissible set without rho gets
+    `admissible_rho`, the rho of the first allowed alpha."""
+    def read(key, parse, values):
+        try:
+            return [parse(s) for s in values]
+        except ValueError as exc:
+            raise ParameterError(f"{where(key)}: {exc}") from None
+
+    (field,) = read("field", Field.from_descriptor, [entries["field"]])
+    u = _comma_list(entries["u"])
+    if not u:
+        raise ParameterError(f"{where('u')}: need at least one cyclotomic parameter u_1")
+    if "r" in entries:
+        try:
+            r = int(entries["r"])
+        except ValueError:
+            raise ParameterError(f"{where('r')} = {entries['r']!r} "
+                                 "is not an integer") from None
+        if r != len(u):
+            raise ParameterError(f"{where('r')} = {r} does not match {len(u)} u-values")
+    flag = entries.get("admissible", "true").lower()
+    if flag not in _FLAG_VALUES:
+        raise ParameterError(f"{where('admissible')} must be one of "
+                             f"{'/'.join(_FLAG_VALUES)}, got {flag!r}")
+    admissible = _FLAG_VALUES[flag]
+    omegas = read("omega", field, _comma_list(entries["omega"])) if "omega" in entries else None
+    u, (q,) = read("u", field, u), read("q", field, [entries["q"]])
+    if "rho" in entries:
+        (rho,) = read("rho", field, [entries["rho"]])
+    elif admissible:
+        rho = admissible_rho(q, u)
+    else:
+        raise ParameterError(f"{where('rho')} is required for non-admissible parameters")
+    return ParameterSet(field, q, rho, u, admissible=admissible, omegas=omegas)
 
 
 def parse_parameter_file(text: str) -> ParameterSet:
@@ -333,27 +374,4 @@ def parse_parameter_file(text: str) -> ParameterSet:
     missing = {"field", "q", "rho", "u"} - set(entries)
     if missing:
         raise ParameterError(f"parameter file is missing: {', '.join(sorted(missing))}")
-    field = Field.from_descriptor(entries["field"])
-    u = [s.strip() for s in entries["u"].split(",") if s.strip()]
-    if "r" in entries:
-        try:
-            r = int(entries["r"])
-        except ValueError:
-            raise ParameterError(f"line {line_of['r']}: r = {entries['r']!r} "
-                                 "is not an integer") from None
-        if r != len(u):
-            raise ParameterError("declared r does not match the number of u-values")
-    flag = entries.get("admissible", "true").lower()
-    if flag not in _FLAG_VALUES:
-        raise ParameterError(f"admissible must be one of {'/'.join(_FLAG_VALUES)}, "
-                             f"got {flag!r}")
-    admissible = _FLAG_VALUES[flag]
-
-    def scalars(key, values):
-        return parse_scalars(field, values, f"line {line_of[key]}: {key}")
-
-    omegas = None
-    if "omega" in entries:
-        omegas = scalars("omega", [s.strip() for s in entries["omega"].split(",") if s.strip()])
-    (q,), (rho,) = scalars("q", [entries["q"]]), scalars("rho", [entries["rho"]])
-    return ParameterSet(field, q, rho, scalars("u", u), admissible=admissible, omegas=omegas)
+    return read_parameters(entries, lambda key: f"line {line_of[key]}: {key}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import Field
 from .linalg import (EchelonSpan, RowBasis, as_array, fraction_free, from_fraction_free,
-                     matmul_mod, reduce_mod, runs, scatter_add, zeros)
+                     matmul_mod, reduce_mod, runs, zeros)
 from .params import ParameterSet, omega
 from .rewriting import Basis, CompletionError, RewriteSystem, complete
 
@@ -102,16 +102,6 @@ def parse_word(s: str, n: int) -> bytes:
 
 # -- relations ----------------------------------------------------------------
 
-def _x_power_reduction(p: ParameterSet):
-    """x^r = sum_{k<r} (-1)^(r-k-1) sigma_{r-k} x^k as a coefficient list."""
-    r = p.r
-    coeffs = []
-    for k in range(r):
-        c = p.sigma[r - k]
-        coeffs.append(c if (r - k - 1) % 2 == 0 else -c)
-    return coeffs  # index k -> coefficient of x^k
-
-
 def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
                         orientation13: str = "x1") -> List[dict]:
     """The inverse-free defining equations as sparse elements (== 0).
@@ -143,8 +133,7 @@ def canonical_relations(n: int, p: ParameterSet, variant: str = "bmw",
 
     x = bytes((X(n),))
     # cyclotomic relation: x^r - (reduction of x^r)
-    red = _x_power_reduction(p)
-    eq((x * p.r, one), *(((x * k), -red[k]) for k in range(p.r)))
+    eq((x * p.r, one), *(((x * k), -c) for k, c in enumerate(p.x_power)))
 
     if n == 1:
         return eqs
@@ -221,12 +210,13 @@ class StructureAlgebra:
     The product table is the sparse structure constants b_i b_j = sum_k C b_k,
     stored once, column-major, by `_store`: `_table[j]` holds views of the
     arrays (I, K, C) of the products b_i b_j in (i, k) order, C in the
-    field's array dtype (`linalg.dtype_for`).  `mul`, `right_matrix` and
-    `left_matrix` are each one gather-scatter over the constants
-    (`_gather`).  Over Q, C and every array the algebra hands out hold
-    reduced Fractions, but the gather multiplies integer numerators: those
-    of C over their common denominator (`_numerators`, made by `_store`)
-    times those of its operands, with one Fraction made per output entry.
+    field's array dtype (`linalg.dtype_for`).  `mul`, `right_matrix`,
+    `left_matrix`, `traces` and `form` are each one gather-scatter over the
+    constants (`_gather`); no other module of the package reads them.
+    Over Q, C and every array the algebra hands out hold reduced Fractions,
+    but the gather multiplies integer numerators: those of C over their
+    common denominator (`_numerators`, made by `_store`) times those of
+    its operands, with one Fraction made per output entry.
 
     An element (the unit, a generator, what `mul`, `nf_word`, `nf_element`
     and `star` return) is a vector of length dim in that dtype; methods take
@@ -383,24 +373,36 @@ class StructureAlgebra:
                 size: int) -> np.ndarray:
         """Vector of length `size` holding at slots[t] the sum of the terms
         C[sel[t]] * v[pos[t]] over every (v, pos) in `factors`.  Over GF(p)
-        the terms are reduced once, by the scatter, when the bound on their
-        total, len(sel) (p-1)^(len(factors)+1), is below 2^63, and after
+        the terms are reduced once, after the sum, when the bound on their
+        total, len(slots) (p-1)^(len(factors)+1), is below 2^63, and after
         each factor otherwise."""
         m = self.field.p
         if m:
             vals = self.structure_constants()[3][sel]
-            once = len(sel) * (m - 1) ** (len(factors) + 1) < 2**63
+            once = len(slots) * (m - 1) ** (len(factors) + 1) < 2**63
             for v, pos in factors:
                 vals = v[pos] * vals if once else reduce_mod(v[pos] * vals, m)
-            return scatter_add(slots, vals, size, m)
-        vals, d = self._numerators
-        vals = vals[sel]
-        for v, pos in factors:
-            nv, dv = fraction_free(v)
-            vals, d = vals * nv[pos], d * dv
-        out = np.zeros(size, dtype=object)
+        else:
+            vals, d = self._numerators
+            vals = vals[sel]
+            for v, pos in factors:
+                nv, dv = fraction_free(v)
+                vals, d = vals * nv[pos], d * dv
+        out = np.zeros(size, dtype=vals.dtype)
         np.add.at(out, slots, vals)
-        return from_fraction_free(out, d)
+        return reduce_mod(out, m) if m else from_fraction_free(out, d)
+
+    def traces(self) -> np.ndarray:
+        """t[j] = tr(R_{b_j}), the sum of the constants of b_k b_j at b_k."""
+        I, J, K, _, _ = self.structure_constants()
+        sel = np.flatnonzero(I == K)
+        return self._gather(sel, [], J[sel], self.dim)
+
+    def form(self, phi: np.ndarray) -> np.ndarray:
+        """G[i][j] = phi(b_i b_j) for the functional x -> phi . x."""
+        I, J, K, _, _ = self.structure_constants()
+        return self._gather(slice(None), [(phi, K)], I * self.dim + J,
+                            self.dim**2).reshape(self.dim, self.dim)
 
     def mul(self, a, b) -> np.ndarray:
         """The product a b, a new vector."""

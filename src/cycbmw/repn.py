@@ -2,9 +2,9 @@
 
 Jacobson radical (the trace-form kernel, refined in characteristic p by
 one linear system per p-power round, every form one scatter over the
-constants; certified nilpotent with matrix products, each squaring round
-one stack of current @ R_b reduced by one batched echelon, on every
-field), Wedderburn block data of the semisimple quotient through its
+constants, `StructureAlgebra.form`; certified nilpotent with matrix
+products, each squaring round one stack of current @ R_b reduced by one
+batched echelon, on every field), Wedderburn block data of the semisimple quotient through its
 center, explicit simple right modules via primitive idempotents, and the
 idempotent-truncation functor M -> M e.  The central idempotents are
 split inside the center algebra Z, not inside the quotient: dim Z is the
@@ -54,7 +54,7 @@ import sympy
 
 from .fields import Field, PRIME_FIELD
 from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, echelon, matmul_mod,
-                     nullspace, rank_profile, reduce_mod, scatter_add, zeros)
+                     nullspace, rank_profile, reduce_mod, zeros)
 from .presentation import StructureAlgebra, ideal_span
 
 DEFAULT_SEED = 20260801
@@ -63,23 +63,6 @@ _SPLIT_TRIES = 60     # seeded random corner elements per primitive-idempotent r
 
 class AnalysisError(RuntimeError):
     """Internal consistency failure; raised rather than reporting bad data."""
-
-
-# -- traces of the right regular representation -------------------------------
-
-def _trace(A: StructureAlgebra) -> np.ndarray:
-    """t[j] = tr(R_{b_j}) = sum_k c_{k j k}."""
-    I, J, K, C, _ = A.structure_constants()
-    diag = I == K
-    return scatter_add(J[diag], C[diag], A.dim, A.field.p)
-
-
-def _form(A: StructureAlgebra, phi: np.ndarray) -> np.ndarray:
-    """G[i][j] = phi(b_i b_j) for the functional phi . x, from the constants."""
-    I, J, K, C, _ = A.structure_constants()
-    m = A.field.p
-    return scatter_add(I * A.dim + J, reduce_mod(C * phi[K], m), A.dim**2, m).reshape(
-        A.dim, A.dim)
 
 
 def _power_trace_mod(M: np.ndarray, power: int, mod: int) -> int:
@@ -97,7 +80,7 @@ def _power_trace_mod(M: np.ndarray, power: int, mod: int) -> int:
 def radical(A: StructureAlgebra) -> np.ndarray:
     """Exact basis of the Jacobson radical, as the rows of a 2-D array.
 
-    I_0, the nullspace of `_form(A, _trace(A))`, is the radical in
+    I_0, the nullspace of `A.form(A.traces())`, is the radical in
     characteristic 0.  In characteristic p, round i (N = p^i <= dim) cuts
     I_i = {x in I_{i-1} : g_i(xy) = 0 for all y in A}, where g_i(x) =
     p^{-i} tr(X^N) mod p for an integer lift X of R_x (p^i | tr(X^N) is
@@ -117,11 +100,11 @@ def radical(A: StructureAlgebra) -> np.ndarray:
     blocks T_y = (Y @ R_y)[:, P] and 0, as A y lies in I_{i-1}: by (a),
     g_i(y) is read from T_y.  The vector g, g_i(Y_r) at column P_r and 0
     elsewhere, is g_i on I_{i-1}, which holds every x b_j: I_i is {c B :
-    (B @ _form(A, g))^T c = 0}, B the previous round's rows.  The result
+    (B @ A.form(g))^T c = 0}, B the previous round's rows.  The result
     is certified to be a nilpotent two-sided ideal.
     """
     f = A.field
-    basis = nullspace(_form(A, _trace(A)), A.dim, f)
+    basis = nullspace(A.form(A.traces()), A.dim, f)
     if f.kind == PRIME_FIELD:
         p = f.p
         i = 1
@@ -135,7 +118,7 @@ def radical(A: StructureAlgebra) -> np.ndarray:
                 if tr % (p**i):
                     raise AnalysisError("p-power trace not divisible as expected")
                 g[col] = (tr // p**i) % p
-            coords = nullspace(matmul_mod(basis, _form(A, g), p).T, len(basis), f)
+            coords = nullspace(matmul_mod(basis, A.form(g), p).T, len(basis), f)
             basis = matmul_mod(coords, basis, p)
             i += 1
     _certify_nilpotent_ideal(A, basis)

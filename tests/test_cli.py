@@ -8,7 +8,9 @@ import pytest
 from cycbmw.acceptance import generic_parameters, semi_parameters
 from cycbmw.cli import _parameters_from_args, main, make_parser
 from cycbmw.fields import GF, QQ
-from cycbmw.params import ParameterSet
+from cycbmw.params import (ParameterError, ParameterSet, admissible_rho, omega,
+                           parse_parameter_file, read_parameters,
+                           render_parameter_file)
 from cycbmw.presentation import build_algebra, dumps_algebra
 
 GENERIC = ["--field", "gfp:101", "--q", "2", "--u", "4", "--admissible"]
@@ -419,3 +421,91 @@ def test_removed_flags_are_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "unrecognized arguments" in err and not out
+
+
+# -- one reader for flags and files ---------------------------------------------------
+
+def _admissible(field, q, u):
+    q, u = field(q), [field(x) for x in u]
+    return ParameterSet(field, q, admissible_rho(q, u), u, admissible=True)
+
+
+READER_SETS = [generic_parameters(1), generic_parameters(2), generic_parameters(3),
+               semi_parameters(),
+               ParameterSet(GF(101), 2, 3, [4, 16, 64], admissible=False, omegas=[5, 7]),
+               ParameterSet(GF(101), 2, 3, [4], admissible=False),
+               _admissible(QQ, 2, [3]), _admissible(QQ, 2, [4, "1/4"]),
+               _admissible(QQ, 3, [1, 4, "1/4"]),
+               ParameterSet(QQ, 2, "2/3", [5], admissible=False),
+               ParameterSet(QQ, "1/2", 7, [2, 3, "1/3"], admissible=False, omegas=["1/5", -4])]
+
+
+def _flags(p, rho=True):
+    argv = ["--field", p.field.descriptor_string(), "--q", str(p.q),
+            "--u", ",".join(str(x) for x in p.u), "--r", str(p.r)]
+    if p.admissible:
+        argv.append("--admissible")
+    else:
+        argv.append("--no-admissible")
+        if p.r > 1:
+            argv += ["--omega", ",".join(str(omega(p, a)) for a in range(1, p.r))]
+    return argv + ["--rho", str(p.rho)] * rho
+
+
+def _from_flags(argv):
+    return _parameters_from_args(make_parser().parse_args(["semiadmissible", *argv]))
+
+
+def _key(p):
+    return (p.field, p.q, p.rho, p.u, p.admissible, [omega(p, a) for a in range(2 * p.r + 1)])
+
+
+@pytest.mark.parametrize("p", READER_SETS, ids=repr)
+def test_flags_and_file_read_the_same_set(p):
+    reads = [_from_flags(_flags(p)), parse_parameter_file(render_parameter_file(p))]
+    if p.admissible:
+        reads.append(_from_flags(_flags(p, rho=False)))
+    assert all(_key(x) == _key(p) for x in reads)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("u", ","), ("r", "3"), ("r", "x"), ("admissible", "ture"), ("q", "x"),
+    ("rho", "1/0"), ("field", "gfp:abc"), ("field", "gfp:"),
+], ids=["empty-u", "r-mismatch", "r-not-an-integer", "flag-word", "bad-q", "bad-rho",
+        "bad-field", "empty-prime"])
+def test_flags_and_file_refuse_alike(key, value):
+    entries = {"field": "q", "q": "2", "rho": "1/3", "u": "3", key: value}
+    line = list(entries).index(key) + 1
+    with pytest.raises(ParameterError) as in_file:
+        parse_parameter_file("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    with pytest.raises(ParameterError) as in_flags:
+        if key == "admissible":
+            # the flags write only true or false
+            read_parameters(entries, lambda k: f"--{k}")
+        else:
+            _from_flags([x for k, v in entries.items() for x in (f"--{k}", v)])
+    file_where, flag_where = f"line {line}: {key}", f"--{key}"
+    assert str(in_file.value).startswith(file_where)
+    assert str(in_flags.value).startswith(flag_where)
+    assert str(in_file.value)[len(file_where):] == str(in_flags.value)[len(flag_where):]
+
+
+def test_a_malformed_field_descriptor_is_named(tmp_path, capsys):
+    for value in ("gfp:abc", "gfp:"):
+        code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                             "--field", value, "--q", "2", "--u", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: --field: unknown field descriptor {value!r}\n"
+    f = tmp_path / "p.params"
+    f.write_text("field = gfp:abc\nq = 2\nrho = 76\nu = 4\n")
+    code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
+                         "--params", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: field: unknown field descriptor 'gfp:abc'\n"
+    blob = json.loads(dumps_algebra(build_algebra(2, generic_parameters(1))))
+    blob["field"] = "gfp:abc"
+    dump = tmp_path / "bad.json"
+    dump.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "analyze", str(dump))
+    assert (code, out) == (1, "")
+    assert err == "error: corrupted algebra dump: unknown field descriptor 'gfp:abc'\n"

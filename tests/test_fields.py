@@ -118,6 +118,12 @@ def test_descriptor_strings():
         Field.from_descriptor("reals")
 
 
+@pytest.mark.parametrize("text", ["gfp:abc", "gfp:", "gfp:1.5"])
+def test_malformed_prime_descriptor_is_unknown(text):
+    with pytest.raises(FieldError, match=f"^unknown field descriptor '{text}'$"):
+        Field.from_descriptor(text)
+
+
 def test_parse_rejects_zero_denominator():
     for s in ("1/0", " -3/0 "):
         with pytest.raises(FieldError, match="zero denominator"):

@@ -218,3 +218,14 @@ def test_admissible_rho():
         assert p.rho == admissible_rho(p.q, p.u) and p.alpha == alpha_candidates(p.q, r)[0]
     q, u = QQ(2), [QQ(3), QQ("1/5")]
     assert admissible_rho(q, u) == (q.inv() * u[0] * u[1]).inv()
+
+
+def test_x_power_is_the_cyclotomic_reduction():
+    rng = random.Random(9)
+    sets = [random_admissible(rng, r) for r in (1, 2, 3, 4)]
+    sets += [rational_example(), ParameterSet(QQ, 2, 7, [2, "1/3", -5], admissible=False,
+                                              omegas=[1, 2])]
+    for p in sets:
+        assert len(p.x_power) == p.r
+        for uj in p.u:
+            assert sum((c * uj**k for k, c in enumerate(p.x_power)), p.field(0)) == uj**p.r

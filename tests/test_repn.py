@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -8,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cycbmw.acceptance import semi_parameters
+from cycbmw.acceptance import omega_zero_parameters, semi_parameters
 from cycbmw.fields import GF, QQ
 from cycbmw.linalg import (EchelonSpan, RowBasis, as_array, dtype_for, matmul_mod, nullspace,
                            rank_profile, reduce_mod)
@@ -20,7 +21,7 @@ from cycbmw.repn import (_coprime_idempotent_polys, center,
                          central_primitive_idempotents,
                          functor_grading_check, radical, semisimple_quotient,
                          simple_modules, truncate_module, wedderburn)
-from cycbmw.combinatorics import Multicharge, classify_cyclotomic
+from cycbmw.combinatorics import Multicharge, classify_cyclotomic, simple_count
 
 F101 = GF(101)
 
@@ -777,7 +778,7 @@ def _pairwise_ideals(A):
     I_{i-1}, each entry a binary power of the product of two lifted right
     matrices.  The last ideal is the oracle for `radical`."""
     f, p = A.field, A.field.p
-    ideals = [nullspace(repn._form(A, repn._trace(A)), A.dim, f).tolist()]
+    ideals = [nullspace(A.form(A.traces()), A.dim, f).tolist()]
     i = 1
     while p**i <= A.dim and ideals[-1]:
         basis, mod = ideals[-1], p ** (i + 1)
@@ -854,3 +855,25 @@ def test_small_e_ladder_matches_classification(p, r, n, rad_dim, count):
     assert rep.split
     assert len(rep.blocks) == count == len(
         classify_cyclotomic(params, Multicharge.from_parameters(params), n))
+
+
+# -- every omega vanishes: f = n/2 drops out for even n ---------------------------------
+
+# (n, dim, radical dim, blocks, classified pairs by f) for omega_zero_parameters()
+OMEGA_ZERO = [(2, 3, 1, [1, 1], {0: 2}), (3, 15, 0, [3, 2, 1, 1], {0: 3, 1: 1}),
+              (4, 105, 36, [6, 3, 3, 3, 2, 1, 1], {0: 5, 1: 2})]
+
+
+@pytest.mark.parametrize("n,dim,rad_dim,blocks,by_f", OMEGA_ZERO,
+                         ids=[f"b1{n}" for n, *_ in OMEGA_ZERO])
+def test_omega_zero_blocks_match_the_contraction_range(n, dim, rad_dim, blocks, by_f):
+    p = omega_zero_parameters()
+    A = build_algebra(n, p)
+    rad = radical(A)
+    rep = wedderburn(A, rad)
+    assert A.dim == dim and len(rad) == rad_dim and rep.split
+    assert sorted(rep.blocks, reverse=True) == blocks
+    pairs = classify_cyclotomic(p, Multicharge.from_parameters(p), n)
+    assert collections.Counter(pair.f for pair in pairs) == by_f
+    assert len(rep.blocks) == len(pairs) == simple_count(p, n)
+    assert (n // 2 in by_f) == (n % 2 == 1)
