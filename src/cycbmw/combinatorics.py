@@ -25,15 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from sympy.ntheory import discrete_log, factorint
-
+from .fields import discrete_log, factorint
 from .params import ParameterSet, omega_vanishing_report
 
-# sympy's discrete_log splits the order of q^2 into its prime factors
+# `fields.discrete_log` splits the order of q^2 into its prime factors
 # (Pohlig-Hellman) and solves each prime-order group by baby-step
-# giant-step below 10^12, by Pollard rho above.  A prime order just below
-# this bound took 0.6 s and 153 MB per u-value; Pollard rho near 10^13
-# took 2.4-6.7 s, and near 1.2 * 10^18 had not finished after 20 s.
+# giant-step, which stores ceil(sqrt q) powers for a prime order q.  A prime
+# order just below this bound took 0.8 s of CPU and 140 MB per u-value;
+# time and memory grow as sqrt q, so larger prime orders are refused.
 DISCRETE_LOG_PRIME_LIMIT = 10**12
 
 Partition = Tuple[int, ...]
@@ -226,7 +225,7 @@ class Multicharge:
             found = None
             if p.e is not None:
                 try:
-                    found = discrete_log(p.field.p, uj.value, q2.value)
+                    found = discrete_log(p.field.p, uj.value, q2.value, p.e)
                 except ValueError:   # u_j is not in the group q^2 generates
                     pass
             else:

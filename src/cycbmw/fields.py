@@ -14,15 +14,18 @@ operator-friendly API.  Every raw value a method returns is canonical.
 `Field.lincomb` is the one kernel for sparse linear combinations, dicts
 {key: raw coeff} keyed by words or by indices: it adds plain ints (or
 Fractions), reduces each sum once at the end and drops the cancelled keys.
+
+`isprime`, `factorint` and `discrete_log` are the integer number theory
+the rest needs: the check that a characteristic is prime, the order of
+q^2 in GF(p)^*, and the charges s_j with u_j = q^{2 s_j}.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import defaultdict
 from fractions import Fraction
-
-import sympy
 
 
 class FieldError(ValueError):
@@ -57,7 +60,7 @@ class Field:
             if p != 0:
                 raise FieldError("rationals have characteristic 0")
         elif kind == PRIME_FIELD:
-            if p < 2 or p > MAX_PRIME or not sympy.isprime(p):
+            if p < 2 or p > MAX_PRIME or not isprime(p):
                 raise FieldError(f"characteristic must be a prime < 2^63, got {p}")
         else:
             raise FieldError(f"unknown field kind {kind!r}")
@@ -292,7 +295,126 @@ def multiplicative_order(a: FieldElement):
             return 2
         return None
     m = f.p - 1
-    for prime in sympy.factorint(m):
+    for prime in factorint(m):
         while m % prime == 0 and pow(a.value, m // prime, f.p) == 1:
             m //= prime
     return m
+
+
+# -- number theory on word-sized integers ----------------------------------------
+
+# The strong probable-prime test to the twelve prime bases 2..37 decides
+# every n below this bound (Sorenson & Webster 2015), MAX_PRIME included.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; refused for
+    n >= 3.18 * 10^23, where these bases no longer decide."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"isprime is exact only below {_MR_LIMIT}, got {n}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n: Pollard's rho walk y -> y^2 + c,
+    with Brent's cycle finding, retried with the next c when it fails."""
+    c = 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def factorint(n: int) -> dict:
+    """{prime: exponent} of n >= 1, primes ascending: trial division below
+    2^10, then Pollard-Brent rho on the cofactors that `isprime` finds
+    composite (so a cofactor beyond its bound is refused)."""
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out: dict = defaultdict(int)
+    for d in (2, *range(3, 1024, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            n //= d
+            out[d] += 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if isprime(m):
+            out[m] += 1
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _bsgs(p: int, t: int, g: int, q: int):
+    """The y in 0..q-1 with g^y = t mod p, g of order q, or None when t is
+    not a power of g (Shanks's baby-step giant-step: ceil(sqrt q) stored
+    powers)."""
+    m = math.isqrt(q - 1) + 1
+    baby, e = {}, 1
+    for j in range(m):
+        baby.setdefault(e, j)
+        e = e * g % p
+    giant = pow(g, -m, p)
+    for i in range(m):
+        j = baby.get(t)
+        if j is not None:
+            return i * m + j
+        t = t * giant % p
+    return None
+
+
+def discrete_log(p: int, a: int, b: int, order: int) -> int:
+    """The x in 0..order-1 with b^x = a mod the prime p, where b has
+    multiplicative order `order` (Pohlig & Hellman 1978): x mod each prime
+    power q^k of the order is read digit by digit, each digit a log in the
+    subgroup of order q by `_bsgs`, and the residues are joined by the
+    Chinese remainder theorem.  Raises ValueError when a is not a power of b."""
+    x, mod = 0, 1
+    for q, k in factorint(order).items():
+        qk = q**k
+        g, h = pow(b, order // qk, p), pow(a, order // qk, p)
+        gamma = pow(g, qk // q, p)
+        xq = 0
+        for i in range(k):
+            digit = _bsgs(p, pow(pow(g, -xq, p) * h % p, q ** (k - 1 - i), p), gamma, q)
+            if digit is None:       # a is not in <b>: the check below refuses it
+                break
+            xq += digit * q**i
+        x += mod * ((xq - x) * pow(mod, -1, qk) % qk)
+        mod *= qk
+    if pow(b, x, p) != a % p:
+        raise ValueError(f"{a} is not a power of {b} modulo {p}")
+    return x

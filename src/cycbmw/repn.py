@@ -17,13 +17,14 @@ eps^2 = eps is read from the same matrix.
 Idempotents are cut by one step, `_split(S, w, e)`, along the coprime
 primary factors of the minimal polynomial of w in e S e (the finite-field
 splitting of Ronyai 1990): all parts refine the central idempotents, the
-first refines a block's idempotent towards a primitive one.  Over GF(p)
-the minimal polynomial is factored here, on lists of Python ints
-(distinct-degree factorization, each factor divided out as often as it
-divides, and Cantor-Zassenhaus equal-degree splitting), and its factors
-are sorted by sympy's key for factors over FF(p), so the order of the
-idempotents does not depend on the installed sympy; over Q the factors
-are sympy's.  The semisimple quotient is built, like corners and the
+first refines a block's idempotent towards a primitive one.  The minimal
+polynomial is factored here, on lists of Python ints or Fractions: over
+GF(p) by distinct-degree factorization, each factor divided out as often
+as it divides, and Cantor-Zassenhaus equal-degree splitting; over Q by
+Zassenhaus's algorithm, its squarefree part factored modulo a small
+prime, Hensel-lifted and recombined by trial division.  The factors are
+sorted by the key of sympy's `_sort_factors`, which fixes the order of
+the idempotents.  The semisimple quotient is built, like corners and the
 center algebra, from right multiplication matrices, one table column per
 matrix.
 
@@ -43,6 +44,7 @@ deterministic sweeps run first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -50,9 +52,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import sympy
 
-from .fields import Field, PRIME_FIELD
+from .fields import GF, QQ, Field, PRIME_FIELD, isprime
 from .linalg import (EchelonSpan, RowBasis, as_array, dtype_for, echelon, matmul_mod,
                      nullspace, rank_profile, reduce_mod, zeros)
 from .presentation import StructureAlgebra, ideal_span
@@ -264,6 +265,19 @@ def _poly_powmod(a, e: int, m, f: Field):
     return out
 
 
+def _poly_derivative(a, f: Field):
+    return _poly_reduce([i * c for i, c in enumerate(a)][1:], f)
+
+
+def _divide_out(g, e, f: Field):
+    """(k, g / e^k) for the largest k with e^k | g."""
+    k, (q, r) = 0, _poly_divmod(g, e, f)
+    while not r:
+        k, g = k + 1, q
+        q, r = _poly_divmod(g, e, f)
+    return k, g
+
+
 def _gfp_equal_degree(s, d: int, f: Field, rng: random.Random):
     """The factors of the monic squarefree s, all irreducible of degree d
     (Cantor & Zassenhaus 1981): gcd(s, a^((p^d-1)/2) - 1), for p = 2
@@ -303,10 +317,7 @@ def _gfp_factors(g, f: Field):
         part = _poly_gcd(g, _poly_sub(h, x, f), f)
         if len(part) > 1:
             for e in _gfp_equal_degree(part, d, f, rng):
-                k, (q, r) = 0, _poly_divmod(g, e, f)
-                while not r:
-                    k, g = k + 1, q
-                    q, r = _poly_divmod(g, e, f)
+                k, g = _divide_out(g, e, f)
                 out.append((e, k))
             h = _poly_mod(h, g, f)
     if len(g) > 1:
@@ -314,19 +325,98 @@ def _gfp_factors(g, f: Field):
     return sorted(out, key=lambda t: (len(t[0]), t[1], t[0][::-1]))
 
 
-def _sympy_poly(coeffs):
-    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], sympy.Symbol("x"),
-                      domain="QQ")
+def _q_factors(mp):
+    """(irreducible factor, multiplicity) pairs of the monic mp over Q, each
+    factor primitive over Z with a positive leading coefficient (as
+    Fractions), sorted by the key of sympy's `_sort_factors` over QQ: the
+    factors of the squarefree part mp / gcd(mp, mp'), each divided out of
+    mp as often as it divides it."""
+    sqf = _poly_divmod(mp, _poly_gcd(mp, _poly_derivative(mp, QQ), QQ), QQ)[0]
+    den = math.lcm(*(c.denominator for c in sqf))
+    g = [int(c * den) for c in sqf]
+    content = math.gcd(*g)
+    out = []
+    for h in _zassenhaus([c // content for c in g]):
+        k, mp = _divide_out(mp, h, QQ)
+        out.append((h, k))
+    return sorted(out, key=lambda t: (len(t[0]), t[1], t[0][::-1]))
+
+
+def _zassenhaus(g):
+    """The irreducible factors over Z of the primitive squarefree g of degree
+    n, with lc(g) > 0, as primitive Fraction lists with positive leading
+    coefficients (Zassenhaus 1969; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 15).  The monic factors of g modulo the least odd prime p
+    that keeps it squarefree of degree n are lifted mod m = p^l > 2 lc(g) B,
+    B = 2^n sqrt(n+1) max|g_i| bounding the coefficients of every factor of
+    g (Mignotte).  A factor h of the rest r has (lc(r)/lc(h)) h = lc(r) prod
+    S mod m for a subset S of the lifts, with coefficients below m/2: the
+    subsets, smallest first, give candidates that trial division tests."""
+    n, lc = len(g) - 1, g[-1]
+    for p in itertools.count(3, 2):
+        if isprime(p) and lc % p:
+            F = GF(p)
+            gp = _poly_reduce([c * pow(lc, -1, p) for c in g], F)
+            if len(_poly_gcd(gp, _poly_derivative(gp, F), F)) == 1:
+                break
+    lifted, m = _hensel_lift(g, [h for h, _ in _gfp_factors(gp, F)], F,
+                             2 * lc * 2**n * (math.isqrt(n + 1) + 1) * max(map(abs, g)))
+    factors, rest, s = [], [Fraction(c) for c in g], 1
+    while 2 * s <= len(lifted):
+        for S in itertools.combinations(range(len(lifted)), s):
+            cand = [int(rest[-1])]
+            for i in S:
+                cand = [c % m for c in _poly_product(cand, lifted[i])]
+            cand = [c - m if 2 * c > m else c for c in cand]
+            content = math.gcd(*cand)
+            cand = [Fraction(c // content) for c in cand]
+            q, r = _poly_divmod(rest, cand, QQ)
+            if not r:
+                factors.append(cand)
+                rest, lifted = q, [F_i for i, F_i in enumerate(lifted) if i not in S]
+                break
+        else:
+            s += 1
+    return factors + [rest]
+
+
+def _hensel_lift(g, fs, F: Field, bound):
+    """(lifts, m): the monic F_i = f_i mod p with lc(g) prod F_i = g mod m,
+    m the least power of p above `bound`, from the monic pairwise coprime
+    f_i with lc(g) prod f_i = g mod p.  With a_i = (lc(g) prod_{j != i}
+    f_j)^-1 mod f_i, lc(g) sum_i a_i prod_{j != i} f_j = 1 mod p, so adding
+    m (e a_i mod f_i) to each F_i, e = (g - lc(g) prod F_i) / m, makes the
+    product right mod m p (linear lifting)."""
+    p, lc = F.p, g[-1]
+    a = []
+    for i, f_i in enumerate(fs):
+        cof = [lc]
+        for j, f_j in enumerate(fs):
+            if j != i:
+                cof = _poly_mod(_poly_product(cof, f_j), f_i, F)
+        a.append(_poly_invmod(cof, f_i, F))
+    lifted, m = list(fs), p
+    while m <= bound:
+        prod = [lc]
+        for F_i in lifted:
+            prod = _poly_product(prod, F_i)
+        e = _poly_reduce([(c - d) // m for c, d in zip(g, prod)], F)
+        for i, (a_i, f_i) in enumerate(zip(a, fs)):
+            c = _poly_mod(_poly_product(e, a_i), f_i, F)
+            lifted[i] = [x + m * y for x, y in zip(lifted[i], c + [0] * len(f_i))]
+        m *= p
+    return lifted, m
 
 
 def _coprime_idempotent_polys(mp_coeffs, f: Field):
     """Polynomials h_a with h_a = 1 mod primary factor a, 0 mod the rest,
     as ascending raw coefficients, in the order of the irreducible factors.
 
-    Over GF(p) the factors are our own (`_gfp_factors`), sorted by the key
-    of sympy's `Poly.factor_list` over FF(p): (degree, multiplicity, monic
-    coefficients as residues 0..p-1 from the top); over Q they are sympy's,
-    in its order.  Each h_a = rest_a (rest_a^-1 mod p_a) mod mp, rest_a the
+    The factors are our own, sorted by the key of sympy's `Poly.factor_list`:
+    over GF(p) (`_gfp_factors`) (degree, multiplicity, monic coefficients as
+    residues 0..p-1 from the top), over Q (`_q_factors`) (degree,
+    multiplicity, primitive integer coefficients from the top, the leading
+    one positive).  Each h_a = rest_a (rest_a^-1 mod p_a) mod mp, rest_a the
     product of the other primaries.  Empty list when the minimal polynomial
     is primary (no split there), which a linear one always is."""
     if len(mp_coeffs) <= 2:
@@ -336,8 +426,7 @@ def _coprime_idempotent_polys(mp_coeffs, f: Field):
         factors = _gfp_factors(mp, f)
     else:
         mp = list(mp_coeffs)
-        factors = [([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())], k)
-                   for g, k in _sympy_poly(mp).factor_list()[1]]
+        factors = _q_factors(mp)
     if len(factors) < 2:
         return []
     out = []

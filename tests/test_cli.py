@@ -121,7 +121,7 @@ def test_classify_cyclotomic_refuses_fast_near_2_31(capsys):
 
 def test_classify_cyclotomic_refuses_a_discrete_log_of_huge_prime_order(capsys):
     # p - 1 = 2 * 1152921504606845789: q^2 = 9 generates the subgroup of
-    # that prime order, where sympy's discrete_log runs Pollard rho
+    # that prime order, where baby-step giant-step would store 10^9 powers
     p = 2305843009213691579
     code, out, err = run(capsys, "classify", "--mode", "cyclotomic", "--n", "2",
                          "--field", f"gfp:{p}", "--q", "3", "--u", str(pow(9, 123456789, p)))

@@ -3,10 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from cycbmw.fields import (GF, QQ, Field, FieldError, ZeroInversionError,
-                           multiplicative_order)
+from cycbmw.fields import (GF, QQ, Field, FieldError, ZeroInversionError, discrete_log,
+                           factorint, isprime, multiplicative_order)
 
 # Property tests draw their examples from a fixed derandomized profile, so
 # every run of the suite checks the same examples.
@@ -74,6 +75,48 @@ def test_order_is_minimal():
         assert a**m == F(1)
         for k in range(1, m):
             assert a**k != F(1)
+
+
+# -- number-theory kernels, against sympy ------------------------------------------
+
+def test_isprime_matches_sympy():
+    # 3825123056546413051 is a strong pseudoprime to every prime base up to 31
+    for n in [*range(10**4), 561, 3215031751, 3825123056546413051,
+              2**61 - 1, 2**63 - 25, 2**63 - 1]:
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_isprime_refuses_numbers_its_bases_do_not_decide():
+    with pytest.raises(ValueError, match="exact only below"):
+        isprime(318665857834031151167461)
+
+
+def test_factorint_matches_sympy():
+    rng = random.Random(62)
+    # two primes near 2^31, a prime square, and a prime above 2^10 times a
+    # prime near 2^52: Pollard-Brent rho on each cofactor
+    near = [sympy.nextprime(rng.randrange(2**30, 2**32)) for _ in range(7)]
+    semiprimes = [near[0] * near[1], near[2] * near[3], near[4] * near[5], near[6]**2,
+                  1031 * sympy.nextprime(2**52)]
+    for n in [p - 1 for p in (2, 3, 5, 7, 13, 101, 65521, 2**31 - 1, 2**61 - 1)] + [
+            2305843009213691578, 2**63 - 2] + semiprimes:
+        got = factorint(n)
+        assert got == sympy.factorint(n) and list(got) == sorted(got), n
+
+
+def test_discrete_log_matches_sympy():
+    rng = random.Random(31)
+    for p in (101, 65521, 2**31 - 1):
+        g = sympy.primitive_root(p)
+        for _ in range(12):
+            b = pow(g, rng.randrange(1, p - 1), p)
+            order = multiplicative_order(GF(p)(b))
+            a = pow(b, rng.randrange(order), p)
+            assert discrete_log(p, a, b, order) == sympy.discrete_log(p, a, b)
+        # g generates the whole group, g^2 only the squares
+        for a in (g, 0):
+            with pytest.raises(ValueError, match="not a power"):
+                discrete_log(p, a, g * g % p, (p - 1) // 2)
 
 
 def test_field_axioms_sampled():

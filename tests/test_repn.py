@@ -204,10 +204,11 @@ def test_center_split_matches_split_in_algebra(case):
     assert total == S.unit().tolist()
 
 
-def test_linear_minimal_polynomial_skips_sympy(monkeypatch):
+def test_linear_minimal_polynomial_is_not_factored(monkeypatch):
     def boom(*args):
-        raise AssertionError("sympy called on a linear polynomial")
-    monkeypatch.setattr(repn, "_sympy_poly", boom)
+        raise AssertionError("a linear polynomial was factored")
+    monkeypatch.setattr(repn, "_q_factors", boom)
+    monkeypatch.setattr(repn, "_gfp_factors", boom)
     assert _coprime_idempotent_polys([3, 1], F101) == []
     assert _coprime_idempotent_polys([Fraction(-2, 3), Fraction(1)], QQ) == []
 
@@ -285,6 +286,52 @@ def _factor_products(draw):
 def test_idempotent_polys_match_sympy(case):
     f, mp = case
     assert _coprime_idempotent_polys(mp, f) == _sympy_coprime_idempotent_polys(mp, f)
+
+
+@st.composite
+def _wide_q_products(draw):
+    """Ascending coefficients of a monic product over Q of linear and
+    irreducible quadratic or cubic factors with multiplicities, whose
+    coefficients have numerators up to 10^6 and denominators up to 10^3:
+    the factors mod p are lifted through many powers of p."""
+    x = sympy.Symbol("x")
+    coeff = st.fractions(min_value=-10**6, max_value=10**6,
+                         max_denominator=10**3).map(sympy.Rational)
+
+    def monic(degree):
+        return st.lists(coeff, min_size=degree, max_size=degree).map(
+            lambda cs: sympy.Poly([1, *cs], x, domain="QQ"))
+
+    factor = st.one_of(st.tuples(monic(1), st.integers(1, 2)),
+                       st.tuples(st.integers(2, 3).flatmap(monic).filter(
+                           lambda g: g.is_irreducible), st.integers(1, 2)))
+    poly = sympy.Poly(1, x, domain="QQ")
+    for g, k in draw(st.lists(factor, min_size=2, max_size=3)):
+        poly = poly * g**k
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(_wide_q_products())
+def test_idempotent_polys_match_sympy_on_wide_rationals(mp):
+    assert _coprime_idempotent_polys(mp, QQ) == _sympy_coprime_idempotent_polys(mp, QQ)
+
+
+_X = sympy.Symbol("x")
+
+
+@pytest.mark.parametrize("poly", [
+    _X**4 + 1, _X**4 - 10 * _X**2 + 1,                 # irreducible, split mod every p
+    (_X**2 - 2) * (_X**2 - 3), (_X**2 + 1)**2 * (_X - 3),
+    (_X**4 + 1) * (3 * _X - 1) * (2 * _X + 5)**2, (_X**4 - 10 * _X**2 + 1) * (_X**2 - 5),
+    _X * (_X - 1)**2 * (_X + 2)**3, _X**8 - 1], ids=str)
+def test_q_factors_where_the_factors_mod_p_differ(poly):
+    P = sympy.Poly(poly, _X, domain="QQ").monic()
+    mp = [Fraction(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())]
+    want = [([Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())], k)
+            for g, k in P.factor_list()[1]]
+    assert repn._q_factors(mp) == want
+    assert _coprime_idempotent_polys(mp, QQ) == _sympy_coprime_idempotent_polys(mp, QQ)
 
 
 def test_gfp_split_never_asks_sympy_to_factor(monkeypatch):
@@ -676,8 +723,8 @@ def _analysis_digest():
     """sha256 over the radical rows, central and primitive idempotents and
     simple-module rows of GF(101) semi B(2,3) and Q B(1,3).  The pinned
     value was recorded with the per-entry quotient and the Horner split;
-    the factor order (sympy's over Q, its key over GF(p)) fixes the order
-    of the idempotents."""
+    the factor order (sympy's key over Q and over GF(p)) fixes the order of
+    the idempotents."""
     h = hashlib.sha256()
     for A in (build_algebra(3, semi_parameters()),
               build_algebra(3, ParameterSet(QQ, 2, 1, [1], admissible=True))):
